@@ -209,6 +209,6 @@
 // bit-for-bit; BENCH_island_dist.json holds the committed round-latency,
 // recovery-time and degraded-quality numbers.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// README.md describes the architecture layer by layer; cmd/experiments
+// prints every reproduced table next to the paper's published values.
 package gridcma

@@ -296,10 +296,11 @@ type engine struct {
 	frozenFit []float64
 
 	// persistent worker pool (par.go): started lazily at the first
-	// parallel batch, stopped when run returns
-	tasks    chan int
-	taskWG   sync.WaitGroup
-	taskExec func(int)
+	// parallel batch, stopped — and awaited — when run returns
+	tasks     chan int
+	taskWG    sync.WaitGroup
+	workersWG sync.WaitGroup
+	taskExec  func(int)
 
 	// best-ever (the population best is monotone under add-if-better,
 	// but we track explicitly to also support AddOnlyIfBetter=false).

@@ -114,10 +114,13 @@ func (e *engine) startWorkers() {
 		return
 	}
 	workers := e.workers()
-	e.tasks = make(chan int, workers)
+	tasks := make(chan int, workers)
+	e.tasks = tasks
+	e.workersWG.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for i := range e.tasks {
+			defer e.workersWG.Done()
+			for i := range tasks {
 				e.taskExec(i)
 				e.taskWG.Done()
 			}
@@ -125,11 +128,14 @@ func (e *engine) startWorkers() {
 	}
 }
 
-// stopWorkers terminates the persistent workers; the engine is done.
+// stopWorkers terminates the persistent workers and waits for every one
+// to exit, so none still references the engine's population after the
+// run returns.
 func (e *engine) stopWorkers() {
 	if e.tasks != nil {
 		close(e.tasks)
 		e.tasks = nil
+		e.workersWG.Wait()
 	}
 }
 

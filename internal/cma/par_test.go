@@ -1,6 +1,8 @@
 package cma
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"gridcma/internal/cell"
@@ -174,5 +176,37 @@ func TestParallelAsyncRunWithPopulationDeterministic(t *testing.T) {
 				t.Fatalf("workers changed final population at cell %d", k)
 			}
 		}
+	}
+}
+
+// TestParallelWorkersExitWithRun: the persistent workers are done by
+// the time Run returns, so none still holds the engine's population.
+// On one P, a worker that Run did not wait for has at best been woken
+// from its task-channel receive when Run returns, so it still shows in
+// the stack dump; one that Run waited for has run to its end. The
+// goroutine count must come back to its value before the run.
+func TestParallelWorkersExitWithRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	in := testInstance(21)
+	s, err := New(parCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := func() int {
+		for i := 0; i < 100; i++ {
+			runtime.Gosched()
+		}
+		return runtime.NumGoroutine()
+	}
+	before := goroutines()
+	s.Run(in, run.Budget{MaxIterations: 3}, 7, nil)
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "startWorkers") {
+			t.Fatalf("a worker outlived Run:\n%s", g)
+		}
+	}
+	if after := goroutines(); after != before {
+		t.Fatalf("%d goroutines after a Workers=2 Run, %d before", after, before)
 	}
 }

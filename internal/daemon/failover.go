@@ -214,10 +214,13 @@ func runFailoverCase(cfg FailoverTestConfig, dir string, c int, res *FailoverTes
 		return err
 	}
 
-	// Reference trajectory: a plain grid replaying the script. The state
-	// digest excludes wall-clock fields, so it is the yardstick both
-	// daemons must match event for event.
+	// Reference trajectory: a plain grid replaying the script. Neither
+	// the audit digest nor the StateHash covers wall-clock fields, so
+	// they are the yardsticks both daemons must match event for event:
+	// the digest rings against refHash, the promoted node against
+	// refDigest.
 	refDigest := make([]string, cfg.Events+1)
+	refHash := make([]StateHash, cfg.Events+1)
 	ref, err := NewGrid(cfg.Grid)
 	if err != nil {
 		return err
@@ -228,6 +231,7 @@ func runFailoverCase(cfg FailoverTestConfig, dir string, c int, res *FailoverTes
 			return fmt.Errorf("reference apply %d: %w", i, err)
 		}
 		refDigest[i+1] = ref.Digest()
+		refHash[i+1] = ref.StateHash()
 	}
 
 	// Primary. Every third case it is born from a snapshot taken part
@@ -362,8 +366,8 @@ func runFailoverCase(cfg FailoverTestConfig, dir string, c int, res *FailoverTes
 			if !ok {
 				return fmt.Errorf("%s digest ring lost seq %d", who, seq)
 			}
-			if dig != refDigest[seq] {
-				return fmt.Errorf("%s diverged at seq %d: %s != reference %s", who, seq, dig, refDigest[seq])
+			if dig != refHash[seq] {
+				return fmt.Errorf("%s diverged at seq %d: %s != reference %s", who, seq, dig, refHash[seq])
 			}
 		}
 		return nil

@@ -79,9 +79,21 @@
 // stream. ApplyReplicated applies shipped events verbatim (sequence,
 // timestamp and checksum preserved), so the follower's WAL is
 // byte-identical to the primary's acked prefix; every batch carries
-// the primary's state digest at the batch-end sequence, and a mismatch
-// against the follower's own digest is ErrDiverged — a permanent stop,
+// the primary's state hash at the batch-end sequence, and a mismatch
+// against the follower's own hash is ErrDiverged — a permanent stop,
 // never a silent drift.
+//
+// The grid has two digests. StateHash is the replication tripwire: a
+// commutative two-lane sum of per-slot, per-machine and per-list-entry
+// terms that each event updates in O(changed), so the primary can record
+// one after every event; it ships versioned ("s1:"), and a follower
+// handed a version it does not compute stops with ErrDigestVersion.
+// Digest is the audit digest, a SHA-256 over the whole canonical state:
+// snapshots embed and verify it, and the selfcheck, the tortures and
+// the benchmark compare it. Recording a hash does not flush the WAL:
+// ReplServer flushes under the daemon lock before it reads the log,
+// FsyncAlways flushes at every acknowledgement and admissions flush,
+// so a pull always sees every event applied before it.
 //
 // Failover is Promote (or POST /promote): the follower persists a
 // bumped monotonic term beside its WAL before flipping to primary, and
@@ -266,6 +278,11 @@ type Grid struct {
 	// daemon reads it for latency accounting and API responses. Not part
 	// of the replayed state.
 	lastPlaced []Placement
+
+	// h maintains the replication StateHash (statehash.go); digestBuf is
+	// the audit Digest's reusable serialisation buffer.
+	h         hashState
+	digestBuf []byte
 }
 
 // NewGrid builds an empty grid: all job slots free and parked, all
@@ -477,12 +494,12 @@ func (g *Grid) applySubmit(e eventlog.Event) error {
 	if len(g.free) == 0 {
 		g.grow()
 	}
-	s := g.free[len(g.free)-1]
-	g.free = g.free[:len(g.free)-1]
+	s := g.popFree()
 	g.nextJobID++
 	g.jobs[s] = jobSlot{id: e.Job, base: e.Base, state: slotPending}
 	g.byID[e.Job] = s
-	g.pending = append(g.pending, s)
+	g.pushPending(s)
+	g.rehashSlot(int(s))
 	// Fill the row for the machines alive now; later joins rewrite their
 	// column. The parking column keeps the slot's park key until
 	// placement. The row of a parked slot is invisible to the live state
@@ -515,6 +532,7 @@ func (g *Grid) applyJoin(e eventlog.Event) error {
 	g.nextMachID++
 	g.machs[slot] = machSlot{id: e.Mach, mult: e.Mult, alive: true}
 	g.machByID[e.Mach] = slot
+	g.rehashMach(slot)
 	// Rewrite the column for every occupied row. The machine is empty, so
 	// no list order depends on the old column; invalidating the machine
 	// forces cached scans involving it to recompute.
@@ -545,6 +563,7 @@ func (g *Grid) applyLeave(e eventlog.Event) error {
 	}
 	g.machs[slot].alive = false
 	g.machs[slot].departed = true
+	g.rehashMach(slot)
 	delete(g.machByID, e.Mach)
 	if e.Type == eventlog.Fail {
 		g.counters.Restarts += uint64(len(g.st.JobsOn(slot)))
@@ -580,6 +599,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 		for i, ps := range g.pending {
 			if ps == s {
 				g.pending = append(g.pending[:i], g.pending[i+1:]...)
+				g.rehashPending()
 				break
 			}
 		}
@@ -601,7 +621,8 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 	}
 	delete(g.byID, e.Job)
 	g.jobs[s] = jobSlot{}
-	g.free = append(g.free, s)
+	g.rehashSlot(int(s))
+	g.pushFree(s)
 	g.counters.Completed++
 	return nil
 }
@@ -612,6 +633,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 // SetScheduleDiff — dirtying only the touched machines — and run the
 // bounded warm-start improvement pass over the live scan cache.
 func (g *Grid) applyAdmit() error {
+	defer g.rehashAdmit()
 	g.counters.Admits++
 	g.lastPlaced = g.lastPlaced[:0]
 
@@ -748,17 +770,22 @@ func (g *Grid) grow() {
 		g.free = append(g.free, int32(s))
 	}
 	g.counters.Grows++
+	if g.h.on {
+		g.rebuildHash()
+	}
 }
 
 // Digest returns a hex SHA-256 over the grid's canonical value state:
 // counters, job and machine records, the assignment vector and the raw
 // float bits of every real machine completion and the state flowtime.
 // Two grids with equal digests are bit-identical as schedulers; the
-// replay tests compare digest trajectories.
+// replay tests compare digest trajectories, and snapshots carry it. It
+// is the audit digest: a full walk, serialised into one reusable buffer
+// (little-endian 8-byte words) and hashed once. Replication checks the
+// cheaper StateHash instead.
 func (g *Grid) Digest() string {
-	h := sha256.New()
-	var buf [8]byte
-	u := func(v uint64) { binary.LittleEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
+	b := g.digestBuf[:0]
+	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	f := func(v float64) { u(math.Float64bits(v)) }
 	u(g.nextJobID)
 	u(g.nextMachID)
@@ -775,14 +802,14 @@ func (g *Grid) Digest() string {
 	for m := range g.machs {
 		u(g.machs[m].id)
 		f(g.machs[m].mult)
-		b := uint64(0)
+		flags := uint64(0)
 		if g.machs[m].alive {
-			b = 1
+			flags = 1
 		}
 		if g.machs[m].departed {
-			b |= 2
+			flags |= 2
 		}
-		u(b)
+		u(flags)
 	}
 	for _, s := range g.pending {
 		u(uint64(s))
@@ -798,7 +825,9 @@ func (g *Grid) Digest() string {
 		f(g.st.Completion(m))
 	}
 	f(g.st.Flowtime())
-	return hex.EncodeToString(h.Sum(nil))
+	g.digestBuf = b
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // PendingCount returns the number of jobs awaiting admission — the
@@ -807,11 +836,12 @@ func (g *Grid) PendingCount() int { return len(g.pending) }
 
 // CheckInvariants verifies the grid's structural consistency: the id
 // maps, the free/pending/placed slot partition, assignment ranges and
-// the parking discipline. It is the health probe the daemon runs after
-// a handler panic — a clean result means the panic unwound without
-// half-applying a transition, so the daemon can keep serving; a
-// violation means the state machine is corrupt and must be rebuilt from
-// the WAL. It reads but never mutates.
+// the parking discipline, and — once the grid maintains a StateHash —
+// that the maintained hash equals one recomputed from scratch. It is
+// the health probe the daemon runs after a handler panic — a clean
+// result means the panic unwound without half-applying a transition, so
+// the daemon can keep serving; a violation means the state machine is
+// corrupt and must be rebuilt from the WAL. It reads but never mutates.
 func (g *Grid) CheckInvariants() error {
 	p := g.park()
 	free := make(map[int32]bool, len(g.free))
@@ -893,7 +923,7 @@ func (g *Grid) CheckInvariants() error {
 				id, m, g.machs[m].id, g.machs[m].alive)
 		}
 	}
-	return nil
+	return g.checkStateHash()
 }
 
 // LiveInstance extracts the current placed jobs and alive machines as a

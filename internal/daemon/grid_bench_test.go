@@ -51,3 +51,39 @@ func BenchmarkAdmitSteady(b *testing.B) {
 		admit()
 	}
 }
+
+// BenchmarkDigest compares the two digests on a grid with 2048 placed
+// jobs on 64 machines: the audit SHA-256 walk and a read of the
+// maintained state hash (after one submit, the per-event case).
+func BenchmarkDigest(b *testing.B) {
+	cfg := DefaultConfig()
+	g, err := NewGrid(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for m := 0; m < 64; m++ {
+		if err := g.Apply(eventlog.Event{Type: eventlog.Join, Mach: g.NextMachID(), Mult: float64(1 + m%3)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2048; i++ {
+		if err := g.Apply(eventlog.Event{Type: eventlog.Submit, Job: g.NextJobID(), Base: float64(1 + i%8)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := g.Apply(eventlog.Event{Type: eventlog.Admit}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("audit", func(b *testing.B) {
+		for b.Loop() {
+			g.Digest()
+		}
+	})
+	b.Run("state", func(b *testing.B) {
+		g.StateHash()
+		for b.Loop() {
+			g.rehashSlot(0)
+			g.StateHash()
+		}
+	})
+}

@@ -62,10 +62,11 @@ type ReplBatch struct {
 	// Applied is the primary's applied sequence number at ship time —
 	// the follower's lag is Applied minus its own.
 	Applied uint64 `json:"applied"`
-	// Digest is the primary's state digest after applying DigestSeq,
-	// carried on every batch for continuous divergence detection: a
-	// follower whose digest differs after the same prefix must stop
-	// rather than drift.
+	// Digest is the primary's StateHash after applying DigestSeq, in
+	// its versioned wire form ("s1:…"), carried on every batch for
+	// continuous divergence detection: a follower whose hash differs
+	// after the same prefix must stop rather than drift, and one that
+	// does not compute the shipped version stops with ErrDigestVersion.
 	Digest    string `json:"digest,omitempty"`
 	DigestSeq uint64 `json:"digest_seq,omitempty"`
 }
@@ -135,36 +136,37 @@ func splitTmp(path string) (dir, pattern string) {
 	return path[:i], ".term-*.tmp"
 }
 
-// digestRing remembers the state digest after each of the last N
-// applied events, so pull responses can stamp any recent batch end with
-// the digest the follower must reproduce. Bounded: a follower lagging
-// further than the ring simply gets batches without digests until it
-// catches back into the window (correctness never depends on the
-// digest — it is the tripwire, not the ledger).
+// digestRing remembers the StateHash after each of the last N applied
+// events, so pull responses can stamp any recent batch end with the
+// hash the follower must reproduce. Bounded: a follower lagging further
+// than the ring simply gets batches without digests until it catches
+// back into the window (correctness never depends on the digest — it is
+// the tripwire, not the ledger). Values are fixed-size, so recording
+// one allocates nothing.
 type digestRing struct {
 	seqs []uint64
-	vals []string
+	vals []StateHash
 }
 
 func newDigestRing(n int) *digestRing {
 	if n < 1024 {
 		n = 1024
 	}
-	return &digestRing{seqs: make([]uint64, n), vals: make([]string, n)}
+	return &digestRing{seqs: make([]uint64, n), vals: make([]StateHash, n)}
 }
 
-func (r *digestRing) put(seq uint64, dig string) {
+func (r *digestRing) put(seq uint64, dig StateHash) {
 	i := seq % uint64(len(r.seqs))
 	r.seqs[i], r.vals[i] = seq, dig
 }
 
-func (r *digestRing) get(seq uint64) (string, bool) {
+func (r *digestRing) get(seq uint64) (StateHash, bool) {
 	if seq == 0 {
-		return "", false
+		return StateHash{}, false
 	}
 	i := seq % uint64(len(r.seqs))
 	if r.seqs[i] != seq {
-		return "", false
+		return StateHash{}, false
 	}
 	return r.vals[i], true
 }
@@ -172,9 +174,13 @@ func (r *digestRing) get(seq uint64) (string, bool) {
 // --- Daemon replication surface ---------------------------------------
 
 // EnableReplication arms the daemon for serving followers: every
-// applied event records its digest in a bounded ring and flushes the
-// WAL so a tailing reader sees it immediately. ringSize bounds the
-// digest window (0 = 8192). Idempotent.
+// applied event records the grid's StateHash in a bounded ring.
+// ringSize bounds the digest window (0 = 8192). Idempotent.
+//
+// Events are not flushed to the WAL one by one: the shipping path
+// (ReplServer.pull) flushes under the lock before it reads, FsyncAlways
+// flushes at every acknowledgement, and admissions flush, so a pull
+// always sees every event applied before it.
 func (d *Daemon) EnableReplication(ringSize int) {
 	if ringSize <= 0 {
 		ringSize = 8192
@@ -186,33 +192,25 @@ func (d *Daemon) EnableReplication(ringSize int) {
 	}
 	d.digests = newDigestRing(ringSize)
 	if seq := d.g.Applied(); seq > 0 {
-		d.digests.put(seq, d.g.Digest())
-	}
-	if d.wal != nil {
-		d.wal.Flush()
+		d.digests.put(seq, d.g.StateHash())
 	}
 }
 
-// recordDigestLocked stamps the digest ring after a successful apply
-// and flushes the WAL so followers can pull the event; d.mu held, no-op
-// until EnableReplication.
+// recordDigestLocked stamps the digest ring with the StateHash after a
+// successful apply; d.mu held, no-op until EnableReplication.
 func (d *Daemon) recordDigestLocked() {
-	if d.digests == nil {
-		return
-	}
-	d.digests.put(d.g.Applied(), d.g.Digest())
-	if d.wal != nil {
-		d.wal.Flush()
+	if d.digests != nil {
+		d.digests.put(d.g.Applied(), d.g.StateHash())
 	}
 }
 
-// DigestAt returns the recorded digest after event seq, if it is still
-// inside the replication digest window.
-func (d *Daemon) DigestAt(seq uint64) (string, bool) {
+// DigestAt returns the recorded StateHash after event seq, if it is
+// still inside the replication digest window.
+func (d *Daemon) DigestAt(seq uint64) (StateHash, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.digests == nil {
-		return "", false
+		return StateHash{}, false
 	}
 	return d.digests.get(seq)
 }
@@ -279,11 +277,19 @@ func (d *Daemon) AppliedSeq() uint64 {
 	return d.g.Applied()
 }
 
-// GridDigest returns the grid's state digest under the lock.
+// GridDigest returns the grid's audit digest (SHA-256) under the lock.
 func (d *Daemon) GridDigest() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.g.Digest()
+}
+
+// GridStateHash returns the grid's replication StateHash under the
+// lock.
+func (d *Daemon) GridStateHash() StateHash {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.g.StateHash()
 }
 
 // SnapshotNow flushes the WAL and externalises the grid.
@@ -368,12 +374,21 @@ func (d *Daemon) CommitReplicated() error {
 
 // FlushWAL makes every applied event visible to WAL readers.
 func (d *Daemon) FlushWAL() error {
+	_, err := d.flushApplied()
+	return err
+}
+
+// flushApplied flushes the WAL and returns the applied sequence number
+// it covers, in one lock hold: events are not flushed one by one, so an
+// applied position read after releasing the lock could lie past the
+// log's visible end.
+func (d *Daemon) flushApplied() (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.wal == nil || d.closed {
-		return nil
+		return d.g.Applied(), nil
 	}
-	return d.wal.Flush()
+	return d.g.Applied(), d.wal.Flush()
 }
 
 // ReplaceGrid swaps in a bootstrap-restored grid and restarts the WAL
@@ -403,7 +418,7 @@ func (d *Daemon) ReplaceGrid(g *Grid) error {
 	if d.digests != nil {
 		d.digests = newDigestRing(len(d.digests.seqs))
 		if seq := g.Applied(); seq > 0 {
-			d.digests.put(seq, g.Digest())
+			d.digests.put(seq, g.StateHash())
 		}
 	}
 	return nil
@@ -585,10 +600,10 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	if reject := s.checkTerm(pull.Term); reject != "" {
 		return &ReplBatch{Term: myTerm, Reject: reject}, nil
 	}
-	if err := s.d.FlushWAL(); err != nil {
+	applied, err := s.d.flushApplied()
+	if err != nil {
 		return nil, err
 	}
-	applied := s.d.AppliedSeq()
 	if pull.After > applied {
 		return &ReplBatch{Term: myTerm, Reject: RejectAhead, Applied: applied}, nil
 	}
@@ -613,7 +628,7 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	resp := &ReplBatch{Term: myTerm, Events: events, Applied: applied}
 	end := pull.After + uint64(len(events))
 	if dig, ok := s.d.DigestAt(end); ok {
-		resp.Digest, resp.DigestSeq = dig, end
+		resp.Digest, resp.DigestSeq = dig.String(), end
 	}
 	return resp, nil
 }

@@ -249,7 +249,7 @@ func TestReplicationDivergenceDetected(t *testing.T) {
 		b, _ := json.Marshal(&ReplBatch{
 			Term:      1,
 			Applied:   0,
-			Digest:    "sha256:0000000000000000000000000000000000000000000000000000000000000000",
+			Digest:    "s1:00000000000000000000000000000000",
 			DigestSeq: 0, // matches the follower's applied position... with the wrong digest
 		})
 		return &transport.Response{ID: req.ID, Repl: b}, nil

@@ -15,8 +15,8 @@ import (
 )
 
 // ErrDiverged is the replication tripwire: the follower applied the
-// same event prefix as the primary and computed a different state
-// digest. That is not lag — it is a broken determinism contract (or a
+// same event prefix as the primary and computed a different StateHash.
+// That is not lag — it is a broken determinism contract (or a
 // corrupted ship), and the only safe move is to stop replicating and
 // flag the node degraded rather than let two "replicas" drift apart.
 var ErrDiverged = errors.New("daemon: replica diverged from primary (digest mismatch at identical applied prefix)")
@@ -219,6 +219,15 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 		}
 		return 0, nil
 	}
+	// A digest this node cannot compute makes every later check
+	// meaningless: stop before applying anything.
+	var want StateHash
+	if batch.Digest != "" {
+		var err error
+		if want, err = parseStateHash(batch.Digest); err != nil {
+			return 0, retry.Permanent(err)
+		}
+	}
 	for _, e := range batch.Events {
 		if err := r.d.ApplyReplicated(e); err != nil {
 			r.d.degraded.Store(true)
@@ -246,10 +255,10 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 		r.d.replCaught.Store(true)
 	}
 	// Continuous divergence detection: whenever the primary stamped the
-	// batch end with its digest and we sit exactly there, the digests
+	// batch end with its StateHash and we sit exactly there, the hashes
 	// must agree bit for bit.
 	if batch.Digest != "" && batch.DigestSeq == applied {
-		if local := r.d.GridDigest(); local != batch.Digest {
+		if local := r.d.GridStateHash(); local != want {
 			r.d.degraded.Store(true)
 			return len(batch.Events), retry.Permanent(fmt.Errorf(
 				"%w: seq %d primary %s local %s", ErrDiverged, applied, batch.Digest, local))

@@ -304,7 +304,7 @@ func (in *Instance) Finalize() {
 
 // Workload returns the derived workload of job i (mean ETC across
 // machines). The ETC benchmark does not ship explicit per-job instruction
-// counts, so this proxy stands in for them; see DESIGN.md §6.
+// counts, so this proxy stands in for them.
 func (in *Instance) Workload(i int) float64 {
 	if in.workload == nil {
 		panic("etc: Workload before Finalize")

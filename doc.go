@@ -91,7 +91,12 @@
 // each machine's scan result so a query re-sweeps only the machines that
 // changed and folds the rest from the memo — O(changed) per iteration
 // instead of O(M) machines, bit-identical to a full rescan, collapsing
-// steady-state LMCTS scans by orders of magnitude. The local searches
+// steady-state LMCTS scans by orders of magnitude. A re-scanned machine
+// costs O(|m| + |crit|·log|m|): its partners that no other partner beats
+// on both halves of the completion pair form a staircase independent of
+// the critical job, so each critical job's best partner is one binary
+// search. That cold cost is what LMCTS pays inside the cMA, where every
+// accepted swap changes the critical machine and resets the memo. The local searches
 // (LM, SLM, LMCTS), SA and tabu search score candidates with the hottest
 // applicable mode and commit only accepted steps — their hot loops
 // allocate nothing and run several times faster than the historical

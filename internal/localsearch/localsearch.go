@@ -7,25 +7,32 @@
 // Every method improves a live schedule.State in place, runs for a bounded
 // number of iterations (Table 1: nb_local_search_iterations = 5) and never
 // worsens the objective: each proposed step is applied only if it improves
-// the scalarised fitness. Candidates are scored speculatively — the batch
-// scans (SLM's all-targets transfer, LMCTS's critical-machine pairing) run
-// over the vector sweep kernels (State.FitnessAfterMoveSweep /
-// CompletionAfterSwapSweep), single candidates over the scalar probes —
-// all bit-identical to apply→evaluate→revert but allocation-free and
-// several times cheaper, so the methods are probe-then-commit: only an
-// accepted step mutates the state. Each method also threads the current
-// fitness through its loop (the probe contract guarantees the probe value
-// of a committed step equals the state's next fitness bit for bit), so
-// the accept baseline costs nothing per candidate.
+// the scalarised fitness. Candidates are scored speculatively — SLM's
+// all-targets transfer over the move sweep (State.FitnessAfterMoveSweep),
+// LMCTS's critical-machine pairing over the scan cache (below), single
+// candidates over the scalar probes — all bit-identical to
+// apply→evaluate→revert but allocation-free and several times cheaper,
+// so the methods are probe-then-commit: only an accepted step mutates
+// the state. Each method also threads the current fitness through its
+// loop (the probe contract guarantees the probe value of a committed step
+// equals the state's next fitness bit for bit), so the accept baseline
+// costs nothing per candidate.
 //
-// Since the dirty-machine delta engine (schedule.ScanCache) the scans are
-// additionally event-driven: LMCTS's full critical scan folds memoized
-// per-machine bests and re-sweeps only machines dirtied since the last
-// query — O(changed) instead of O(M) machines per iteration, and a plain
-// fold of cached scalars once the state is locally optimal — and LM's
-// probes run through the cache's frozen-state context, revalidated only
-// when a commit moves the state's epoch. Both remain bit-identical to the
-// full rescan, so trajectories (and the golden matrix) are unchanged.
+// LMCTS's full critical scan runs through the state's scan cache
+// (schedule.ScanCache), which scans each partner machine with a
+// staircase: the machine's partners that no other partner beats on both
+// halves of the completion pair form a staircase that does not depend on
+// the critical job, so each critical job's best partner there is one
+// binary search. A query costs O(J + |crit|·M·log) instead of the pair
+// loop's O(|crit|·J), and returns the pair loop's exact winner — value,
+// critical job and partner, ties included. The per-machine results are
+// memoized against machine epochs, but an accepted swap always changes
+// the critical machine and so resets every entry: within one LMCTS call
+// each query is a full staircase scan, and the memo pays off only across
+// calls on an unchanged critical machine. LM's probes run through the
+// cache's frozen-state context, revalidated only when a commit moves the
+// state's epoch. Both are bit-identical to the full rescan, so
+// trajectories (and the golden matrix) are unchanged.
 // Every Improve drains the state's commit event log before returning
 // (State.SyncScans), so a state never carries pending invalidations back
 // to a pool.
@@ -145,10 +152,11 @@ func (SLM) Name() string { return "SLM" }
 // reduces completion time. The candidate set pairs every job on the
 // current critical (makespan) machine with every job on the other
 // machines; the swap minimising the larger of the two new completion times
-// is applied when it improves the fitness. The scan runs event-driven
-// over the state's ScanCache: per-machine bests are memoized, only
-// machines dirtied since the last query are re-swept, and the fold of
-// cached bests picks the exact swap the historical full scan picked.
+// is applied when it improves the fitness. The scan runs over the
+// state's ScanCache: per-machine bests come from the staircase scan,
+// memoized while a machine and the critical machine are unchanged, and
+// the fold of the bests picks the exact swap the historical full scan
+// picked.
 type LMCTS struct{}
 
 // Improve implements Method.
@@ -184,7 +192,7 @@ func (s SampledLMCTS) Improve(st *schedule.State, o schedule.Objective, iters in
 	}
 	cur := o.Of(st)
 	for k := 0; k < iters; k++ {
-		f, ok := bestCriticalSwap(st, o, cur, n, r)
+		f, ok := sampledCriticalSwap(st, o, cur, n, r)
 		if !ok {
 			break
 		}
@@ -297,12 +305,12 @@ func tryCommitSwap(st *schedule.State, o schedule.Objective, cur float64, a, b i
 
 // cachedCriticalSwap performs one steepest swap step of the full LMCTS
 // neighborhood through the state's event-driven scan cache: the memoized
-// per-machine bests answer the scan in O(changed) re-swept machines plus
-// an O(M) fold, and the winner — value and (a, b) pair — is the exact
-// swap bestCriticalSwap's full sweep finds. The accept logic is
-// unchanged: the swap must reduce the critical completion pair strictly,
-// and the scalarised fitness must improve (checked with the speculative
-// probe before any state churn).
+// per-machine bests answer the scan in O(changed) re-scanned machines
+// plus an O(M) fold, and the winner — value and (a, b) pair — is the
+// exact swap a flat scan of every (critical job, partner) pair finds.
+// The accept logic is unchanged: the swap must reduce the critical
+// completion pair strictly, and the scalarised fitness must improve
+// (checked with the speculative probe before any state churn).
 func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.Objective, cur float64) (float64, bool) {
 	v, a, b := sc.BestCriticalSwap()
 	if b < 0 || v >= st.Completion(st.MakespanMachine()) {
@@ -311,61 +319,31 @@ func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.O
 	return tryCommitSwap(st, o, cur, a, b)
 }
 
-// bestCriticalSwap performs one steepest swap step between the critical
-// machine and the rest, given the state's current fitness cur. samples > 0
-// examines that many random partner jobs per critical job (drawn from r,
-// one at a time, so sampling allocates nothing) — the SampledLMCTS path.
-// samples == 0 scans all jobs, batched machine by machine over the swap
-// sweep: since the event-driven rewrite this uncached full scan is kept
-// as the reference formulation the cached LMCTS is differentially tested
-// and benchmarked against. Returns the fitness after the step and whether
-// a swap was applied.
-//
-// The historical full scan walked every partner job in ascending id order
-// with a strict-< fold, so among candidates tied on max(aC, bC) the first
-// critical job in SPT order won, and for that job the smallest partner id.
-// The batched scan reproduces that winner exactly: per critical job it
-// keeps the minimum with an explicit smallest-id tie-break across the
-// machine-grouped sweeps, then folds per-job minima strictly — pinned by
-// the tie-heavy trajectory differentials in localsearch_test.go.
-func bestCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, samples int, r *rng.Source) (float64, bool) {
+// sampledCriticalSwap performs one steepest swap step between the
+// critical machine and samples random partner jobs per critical job
+// (drawn from r one at a time, so sampling allocates nothing), given the
+// state's current fitness cur — the SampledLMCTS step. The candidate
+// order is the RNG stream itself, so the scan stays on the scalar pair
+// query with the historical strict-< fold. Returns the fitness after the
+// step and whether a swap was applied.
+func sampledCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, samples int, r *rng.Source) (float64, bool) {
 	in := st.Instance()
 	crit := st.MakespanMachine()
 	critJobs := st.JobsOn(crit)
 	if len(critJobs) == 0 {
 		return cur, false
 	}
-	critC := st.Completion(crit)
-
 	bestA, bestB := -1, -1
-	bestMax := critC // any accepted swap must reduce the critical completion pair
-
-	if samples <= 0 {
-		// The partner-side invariants are cached once per step
-		// (BeginSwapScan) and every critical job folds its best partner
-		// from the flat cache — the per-job minimum with the smallest-id
-		// tie-break, then a strict fold across critical jobs, reproduces
-		// the historical ascending-id scan's winner exactly.
-		scan := st.BeginSwapScan(crit)
-		for _, a := range critJobs {
-			v, b := scan.BestPartner(int(a))
-			if b >= 0 && v < bestMax {
-				bestMax, bestA, bestB = v, int(a), b
+	bestMax := st.Completion(crit) // any accepted swap must reduce the critical completion pair
+	for _, a := range critJobs {
+		for k := 0; k < samples; k++ {
+			b := r.Intn(in.Jobs)
+			if st.Assign(b) == crit {
+				continue
 			}
-		}
-	} else {
-		for _, a := range critJobs {
-			for k := 0; k < samples; k++ {
-				// The candidate order is the RNG stream itself, so the
-				// sampled scan stays on the scalar pair query.
-				b := r.Intn(in.Jobs)
-				if st.Assign(b) == crit {
-					continue
-				}
-				aC, bC := st.CompletionAfterSwap(int(a), b)
-				if v := math.Max(aC, bC); v < bestMax {
-					bestMax, bestA, bestB = v, int(a), b
-				}
+			aC, bC := st.CompletionAfterSwap(int(a), b)
+			if v := math.Max(aC, bC); v < bestMax {
+				bestMax, bestA, bestB = v, int(a), b
 			}
 		}
 	}

@@ -165,12 +165,32 @@ func TestLMCTSCachedMatchesSweepReference(t *testing.T) {
 
 // lmctsSweepScan is the pre-cache LMCTS formulation — a full batched
 // sweep of the critical neighborhood every iteration — kept as the
-// reference the cached rewrite is differentially tested and benchmarked
-// against.
+// reference the cached rewrite is differentially tested against. The
+// partner-side invariants are captured once per step (BeginSwapScan) and
+// every critical job folds its best partner from the flat cache: the
+// per-job minimum with the smallest-id tie-break, then a strict fold
+// across critical jobs in SPT order, reproduces the historical
+// ascending-id scan's winner exactly.
 func lmctsSweepScan(st *schedule.State, o schedule.Objective, iters int) {
 	cur := o.Of(st)
 	for k := 0; k < iters; k++ {
-		f, ok := bestCriticalSwap(st, o, cur, 0, nil)
+		crit := st.MakespanMachine()
+		critJobs := st.JobsOn(crit)
+		if len(critJobs) == 0 {
+			return
+		}
+		bestA, bestB := -1, -1
+		bestMax := st.Completion(crit)
+		scan := st.BeginSwapScan(crit)
+		for _, a := range critJobs {
+			if v, b := scan.BestPartner(int(a)); b >= 0 && v < bestMax {
+				bestMax, bestA, bestB = v, int(a), b
+			}
+		}
+		if bestA < 0 {
+			return
+		}
+		f, ok := tryCommitSwap(st, o, cur, bestA, bestB)
 		if !ok {
 			return
 		}

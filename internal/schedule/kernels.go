@@ -41,26 +41,68 @@ func appendPartnerInvariants[E etcElem](etc []E, machs, crit, m int, cm float64,
 	return u, v, ids
 }
 
-// bestOnKernel is ScanCache.bestOn's pair scan: the minimum over critical
-// jobs a and partner jobs b on machine m of max(aC, bC), with bestOn's
-// lexicographic (value, aPos, b) tie-break. See bestOn for the exactness
-// argument; this is the same loop parameterised over the matrix element.
-func bestOnKernel[E etcElem](etc []E, machs int, critC, cm float64, critJobs, jobs []int32, crit, m int) (float64, int32, int32) {
+// bestOnKernel is ScanCache.bestOn's staircase scan: the minimum over
+// critical jobs a and partner jobs b on machine m of max(aC, bC), with
+// bestOn's lexicographic (value, aPos, b) tie-break. See bestOn for the
+// exactness argument; this is the same scan parameterised over the
+// matrix element, with the staircase in the caller's su/sc scratch (each
+// at least len(jobs) long).
+func bestOnKernel[E etcElem](etc []E, machs int, critC, cm float64, critJobs, jobs []int32, crit, m int, su, sc []float64) (float64, int32, int32) {
+	steps := 0
+	minU := math.Inf(1)
+	for k := len(jobs) - 1; k >= 0; k-- {
+		row := int(jobs[k]) * machs
+		if u := float64(etc[row+crit]); u < minU {
+			minU = u
+			su[steps], sc[steps] = u, cm-float64(etc[row+m])
+			steps++
+		}
+	}
 	best := math.Inf(1)
-	bestAPos, bestB := int32(-1), int32(-1)
+	bestAPos := int32(-1)
 	for apos, a := range critJobs {
 		aRow := etc[int(a)*machs : int(a)*machs+machs]
 		ca := critC - float64(aRow[crit])
 		w := float64(aRow[m])
-		for _, b := range jobs {
-			row := int(b) * machs
-			x := ca + float64(etc[row+crit])
-			if y := (cm - float64(etc[row+m])) + w; y > x {
-				x = y
+		lo, hi := 0, steps
+		for lo < hi {
+			h := int(uint(lo+hi) >> 1)
+			if sc[h]+w >= ca+su[h] {
+				hi = h
+			} else {
+				lo = h + 1
 			}
-			if x < best || (x == best && int32(apos) == bestAPos && b < bestB) {
-				best, bestAPos, bestB = x, int32(apos), b
+		}
+		v := math.Inf(1)
+		if lo < steps {
+			v = sc[lo] + w
+		}
+		if lo > 0 {
+			if x := ca + su[lo-1]; x < v {
+				v = x
 			}
+		}
+		if v < best {
+			best, bestAPos = v, int32(apos)
+		}
+	}
+	if bestAPos < 0 {
+		return math.Inf(1), -1, -1
+	}
+	a := critJobs[bestAPos]
+	aRow := etc[int(a)*machs : int(a)*machs+machs]
+	ca := critC - float64(aRow[crit])
+	w := float64(aRow[m])
+	best = math.Inf(1)
+	bestB := int32(-1)
+	for _, b := range jobs {
+		row := int(b) * machs
+		x := ca + float64(etc[row+crit])
+		if y := (cm - float64(etc[row+m])) + w; y > x {
+			x = y
+		}
+		if x < best || (x == best && b < bestB) {
+			best, bestB = x, b
 		}
 	}
 	return best, bestAPos, bestB

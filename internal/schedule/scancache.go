@@ -22,16 +22,26 @@ import (
 // drops from O(M) machines to O(changed), and to a plain O(M) fold of
 // cached scalars once the cache is warm.
 //
-// Exactness. Every memoized entry is produced by the same arithmetic, in
-// the same order, as SwapScan.BestPartner's flat scan, and an entry is
-// reused only while both its machine's epoch and the critical machine's
-// (identity, epoch) pair are unchanged — the inputs of every float in the
-// entry. The per-machine/fold decomposition reproduces the historical
-// ascending-id scan's winner exactly (see bestOn for the tie-break
-// argument), so a cached query equals a full rescan bit for bit; the
-// differential fuzz in scancache_test.go pins this across thousands of
-// random commit/invalidate sequences, tie-heavy integer instances
-// included.
+// Exactness. Every memoized entry is the lexicographic minimum of
+// (value, aPos, b) over the machine's (critical job, partner) pairs,
+// computed by a staircase scan that returns what the brute-force pair
+// loop returns, bit for bit (see bestOn for the dominance argument), and
+// an entry is reused only while both its machine's epoch and the
+// critical machine's (identity, epoch) pair are unchanged — the inputs
+// of every float in the entry. The per-machine/fold decomposition
+// reproduces the historical ascending-id scan's winner exactly, so a
+// cached query equals a full rescan bit for bit; scancache_test.go pins
+// the staircase against the pair loop (tie-heavy and gridd-shaped
+// instances, both matrix backings, plus a fuzz target) and the cache
+// against a full sweep across thousands of random commit/invalidate
+// sequences.
+//
+// The memo pays off between queries on an unchanged critical machine —
+// repeated queries at a local optimum, and the daemon's diff-applied
+// schedules. Within one LMCTS call it never hits: an accepted swap always
+// takes a job off the critical machine, which bumps that machine's epoch
+// and resets every entry, so each step re-scans every partner machine.
+// That cold scan is why bestOn's cost per machine matters.
 //
 // The critical-swap scan is the memoizable neighborhood because it
 // factorizes: with the critical machine fixed, each partner machine's
@@ -197,50 +207,115 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 // bestOn computes partner machine m's memo entry: the minimum over
 // critical jobs a and jobs b on m of max(aC, bC) — the completion pair
 // CompletionAfterSwap(a, b) reports — with the winning critical job's SPT
-// position and partner id. Same arithmetic, same order as
-// SwapScan.BestPartner's flat scan, so every emitted float is
-// bit-identical to the full-sweep path.
+// position and partner id, as the lexicographic minimum of
+// (value, aPos, b). It returns what the brute-force pair loop over every
+// (a, b) returns, bit for bit, in O(|m| + |crit|·log|m|) instead of
+// O(|crit|·|m|).
 //
-// The tie-break makes the per-machine/fold decomposition exact. The
-// historical scan folds strict-< across critical jobs (first a in SPT
-// order wins a tie) and smallest-id within one (per-a BestPartner).
-// bestOn keeps the lexicographic minimum of (value, aPos, b): a later
-// critical job never displaces an equal value, and a smaller partner id
-// only displaces within the same critical job. Folding the per-machine
-// entries by the same lexicographic order then yields the global
-// (value, aPos, b) minimum — the exact winner of the flat scan, because
-// no machine can hold a pair lexicographically below its own entry.
+// The staircase. With a fixed, partner b's pair is
+//
+//	x_b = (critC − ETC[a][crit]) + u_b,  u_b = ETC[b][crit]
+//	y_b = (cm − v_b) + ETC[a][m],        v_b = ETC[b][m]
+//
+// and rounding is monotone, so x_b never decreases as u_b grows and y_b
+// never increases as v_b grows: a partner with u no smaller and v no
+// larger than another's cannot have a lower max(x, y), whatever a is.
+// The partners no other dominates form a staircase independent of a,
+// built in one pass by walking m's (v, id)-sorted list from its tail and
+// keeping each job whose u undercuts every job kept so far. Along the
+// staircase x is non-increasing and y non-decreasing, so for each a the
+// minimum is min(x_{k−1}, y_k) at the first step k with y_k ≥ x_k, found
+// by binary search. Steps tied on v may both be kept; the two orders
+// still hold.
+//
+// Ties. The per-a minima are folded strictly in SPT order, so the first
+// critical job reaching the minimum value wins, exactly as in the pair
+// loop. The partner is then picked by one rescan of that job's row over
+// all of m's jobs with the pair loop's arithmetic and smallest-id
+// tie-break, so ties on dominated partners resolve as before. Folding the
+// per-machine entries by the same lexicographic order (BestCriticalSwap)
+// yields the global (value, aPos, b) minimum — the winner of the flat
+// ascending-id scan, because no machine holds a pair lexicographically
+// below its own entry.
+//
+// The staircase lives in the state's sweep buffers, grown to the longest
+// partner list seen, never to the job count.
 func (st *State) bestOn(m, crit int, critJobs []int32) (float64, int32, int32) {
 	jobs := st.machJobs[m]
 	if len(jobs) == 0 {
 		return math.Inf(1), -1, -1
 	}
+	st.sweepA = grown(st.sweepA, len(jobs))
+	st.sweepB = grown(st.sweepB, len(jobs))
 	machs := st.inst.Machs
 	cm := st.completion[m]
 	critC := st.completion[crit]
 	etcs := st.inst.ETC
 	if etcs == nil {
-		// Narrow frontier backing: same loop, stenciled over float32
+		// Narrow frontier backing: same scan, stenciled over float32
 		// (kernels.go). The float64 path below stays hand-written — this
-		// scan is the hottest loop in the engine and the generic
-		// instantiation measures ~40ns/query slower.
-		return bestOnKernel(st.inst.ETC32, machs, critC, cm, critJobs, jobs, crit, m)
+		// scan is the hottest loop in the engine, and routing it through
+		// the generic instantiation cost about 6% of paper-braun's
+		// end-to-end CPU time.
+		return bestOnKernel(st.inst.ETC32, machs, critC, cm, critJobs, jobs, crit, m, st.sweepA, st.sweepB)
+	}
+	// su[k] = u and sc[k] = cm − v of the k-th step, tail first.
+	su, sc := st.sweepA, st.sweepB
+	steps := 0
+	minU := math.Inf(1)
+	for k := len(jobs) - 1; k >= 0; k-- {
+		row := int(jobs[k]) * machs
+		if u := etcs[row+crit]; u < minU {
+			minU = u
+			su[steps], sc[steps] = u, cm-etcs[row+m]
+			steps++
+		}
 	}
 	best := math.Inf(1)
-	bestAPos, bestB := int32(-1), int32(-1)
+	bestAPos := int32(-1)
 	for apos, a := range critJobs {
 		aRow := etcs[int(a)*machs : int(a)*machs+machs]
 		ca := critC - aRow[crit]
 		w := aRow[m]
-		for _, b := range jobs {
-			row := int(b) * machs
-			x := ca + etcs[row+crit]
-			if y := (cm - etcs[row+m]) + w; y > x {
-				x = y
+		lo, hi := 0, steps
+		for lo < hi {
+			h := int(uint(lo+hi) >> 1)
+			if sc[h]+w >= ca+su[h] {
+				hi = h
+			} else {
+				lo = h + 1
 			}
-			if x < best || (x == best && int32(apos) == bestAPos && b < bestB) {
-				best, bestAPos, bestB = x, int32(apos), b
+		}
+		v := math.Inf(1)
+		if lo < steps {
+			v = sc[lo] + w // y ≥ x: the pair's max is y
+		}
+		if lo > 0 {
+			if x := ca + su[lo-1]; x < v { // y < x: the pair's max is x
+				v = x
 			}
+		}
+		if v < best {
+			best, bestAPos = v, int32(apos)
+		}
+	}
+	if bestAPos < 0 {
+		return math.Inf(1), -1, -1
+	}
+	a := critJobs[bestAPos]
+	aRow := etcs[int(a)*machs : int(a)*machs+machs]
+	ca := critC - aRow[crit]
+	w := aRow[m]
+	best = math.Inf(1)
+	bestB := int32(-1)
+	for _, b := range jobs {
+		row := int(b) * machs
+		x := ca + etcs[row+crit]
+		if y := (cm - etcs[row+m]) + w; y > x {
+			x = y
+		}
+		if x < best || (x == best && b < bestB) {
+			best, bestB = x, b
 		}
 	}
 	return best, bestAPos, bestB

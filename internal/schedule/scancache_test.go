@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,8 +16,15 @@ import (
 // where the (value, SPT-position, id) tie-break contract actually binds.
 
 // scanInstances mixes generic random instances with tie-heavy integer
-// ones (tieInstance lives in sweep_test.go).
+// ones (tieInstance lives in sweep_test.go) and one float32-backed
+// instance, which routes every scan through the generic kernels.
 func scanInstances() []*etc.Instance {
+	narrow, err := etc.GenSpec{Jobs: 80, Machs: 7,
+		Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
+		Seed:  86, Float32: true}.Generate()
+	if err != nil {
+		panic(err)
+	}
 	return []*etc.Instance{
 		etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
 			0, etc.GenerateOptions{Seed: 81, Jobs: 72, Machs: 9}),
@@ -25,7 +33,183 @@ func scanInstances() []*etc.Instance {
 		tieInstance(60, 8, 83),
 		tieInstance(36, 4, 84),
 		tieInstance(20, 3, 85),
+		narrow,
 	}
+}
+
+// refBestOn is the brute-force pair loop the staircase scan replaced,
+// kept as its reference: every (a, b) pair through the completion-pair
+// arithmetic, strict-< across critical jobs in SPT order, smallest
+// partner id within one. It reads through At, which widens a float32
+// entry exactly as the kernel does, so it serves both backings.
+func refBestOn(st *State, m, crit int) (float64, int32, int32) {
+	in := st.inst
+	cm, critC := st.completion[m], st.completion[crit]
+	best := math.Inf(1)
+	bestAPos, bestB := int32(-1), int32(-1)
+	for apos, a := range st.machJobs[crit] {
+		ca := critC - in.At(int(a), crit)
+		w := in.At(int(a), m)
+		for _, b := range st.machJobs[m] {
+			x := ca + in.At(int(b), crit)
+			if y := (cm - in.At(int(b), m)) + w; y > x {
+				x = y
+			}
+			if x < best || (x == best && int32(apos) == bestAPos && b < bestB) {
+				best, bestAPos, bestB = x, int32(apos), b
+			}
+		}
+	}
+	return best, bestAPos, bestB
+}
+
+// checkBestOnAllPairs compares bestOn with refBestOn, bit for bit, for
+// every ordered pair of distinct machines — any machine may play the
+// critical one, since neither scan relies on it being critical.
+func checkBestOnAllPairs(t *testing.T, st *State, label string) {
+	t.Helper()
+	machs := st.inst.Machs
+	for crit := 0; crit < machs; crit++ {
+		for m := 0; m < machs; m++ {
+			if m == crit {
+				continue
+			}
+			gv, ga, gb := st.bestOn(m, crit, st.machJobs[crit])
+			wv, wa, wb := refBestOn(st, m, crit)
+			if math.Float64bits(gv) != math.Float64bits(wv) || ga != wa || gb != wb {
+				t.Fatalf("%s crit %d m %d: staircase (%x,%d,%d) != pair loop (%x,%d,%d)",
+					label, crit, m, gv, ga, gb, wv, wa, wb)
+			}
+		}
+	}
+}
+
+// narrowTwin returns a float32-backed copy of in (entries rounded to
+// float32, ready times kept).
+func narrowTwin(in *etc.Instance) *etc.Instance {
+	out := etc.New32(in.Name+":f32", in.Jobs, in.Machs)
+	for j := 0; j < in.Jobs; j++ {
+		for m := 0; m < in.Machs; m++ {
+			out.Set(j, m, in.At(j, m))
+		}
+	}
+	copy(out.Ready, in.Ready)
+	out.Finalize()
+	return out
+}
+
+// griddInstance mimics the online daemon's live instance: real machines
+// with small integer ETCs, a last parking column holding park keys
+// (1e-12 × a sequence number) for parked slots, and 1e18 "never go
+// there" cells for a parked slot's real machines, a placed slot's
+// parking cell and a few blocked placements. Random schedules then mix
+// both magnitudes into one machine list, where completions absorb the
+// small entries and the staircase's monotone-rounding argument works at
+// its edges; the 1e18 cells also tie in bulk.
+func griddInstance(jobs, machs int, seed uint64) *etc.Instance {
+	in := etc.New("gridd", jobs, machs)
+	r := rng.New(seed)
+	park := machs - 1
+	for j := 0; j < jobs; j++ {
+		parked := r.Intn(3) == 0
+		for m := 0; m < park; m++ {
+			if parked || r.Intn(8) == 0 {
+				in.Set(j, m, 1e18)
+			} else {
+				in.Set(j, m, float64(1+r.Intn(400)))
+			}
+		}
+		if parked {
+			in.Set(j, park, float64(1+r.Intn(jobs))*1e-12)
+		} else {
+			in.Set(j, park, 1e18)
+		}
+	}
+	for m := 0; m < park; m++ {
+		in.Ready[m] = float64(r.Intn(1000))
+	}
+	in.Finalize()
+	return in
+}
+
+// TestBestOnMatchesPairScan pins the staircase scan to the pair loop on
+// random, tie-heavy and gridd-shaped instances, each on both matrix
+// backings, across commit sequences that reshape the machine lists.
+func TestBestOnMatchesPairScan(t *testing.T) {
+	instances := []*etc.Instance{
+		randInstance(301, 48, 4),
+		randInstance(302, 90, 7),
+		etc.Generate(etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.Low},
+			0, etc.GenerateOptions{Seed: 303, Jobs: 64, Machs: 5}),
+		tieInstance(60, 8, 311),
+		tieInstance(36, 4, 312),
+		tieInstance(20, 3, 313),
+		griddInstance(64, 6, 321),
+		griddInstance(120, 9, 322),
+	}
+	for i, in := range instances {
+		for _, tw := range []*etc.Instance{in, narrowTwin(in)} {
+			r := rng.New(uint64(i) + 340)
+			st := NewState(tw, NewRandom(tw, r))
+			for step := 0; step < 40; step++ {
+				checkBestOnAllPairs(t, st, fmt.Sprintf("%s step %d", tw.Name, step))
+				for k := 0; k < 3; k++ {
+					st.Move(r.Intn(tw.Jobs), r.Intn(tw.Machs))
+				}
+				st.Swap(r.Intn(tw.Jobs), r.Intn(tw.Jobs))
+			}
+		}
+	}
+}
+
+// FuzzBestOn decodes a small instance and schedule from the input and
+// checks bestOn against the pair loop for every (crit, m) pair on both
+// backings. Entries come from a palette of tied integers, park keys,
+// 1e18 blocks and fractional values, so ties, absorbed additions and
+// long staircases all show up in short inputs.
+func FuzzBestOn(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		machs := 2 + int(data[0]%5)
+		jobs := 1 + int(data[1]%48)
+		data = data[2:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		in := etc.New("fuzz", jobs, machs)
+		for j := 0; j < jobs; j++ {
+			for m := 0; m < machs; m++ {
+				switch b := next(); b >> 6 {
+				case 0:
+					in.Set(j, m, float64(1+b%4)*25)
+				case 1:
+					in.Set(j, m, float64(1+b%16)*1e-12)
+				case 2:
+					in.Set(j, m, 1e18)
+				default:
+					in.Set(j, m, float64(b)+float64(b%7)/7)
+				}
+			}
+		}
+		for m := 0; m < machs; m++ {
+			in.Ready[m] = float64(next()%4) * 50
+		}
+		in.Finalize()
+		s := make(Schedule, jobs)
+		for j := range s {
+			s[j] = int(next()) % machs
+		}
+		for _, tw := range []*etc.Instance{in, narrowTwin(in)} {
+			checkBestOnAllPairs(t, NewState(tw, s), tw.Name)
+		}
+	})
 }
 
 // refCriticalSwap is the uncached reference: a fresh full sweep of the
@@ -327,6 +511,39 @@ func BenchmarkCachedScanQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc.BestCriticalSwap()
+	}
+}
+
+// BenchmarkCachedScanCold measures the cMA's per-offspring pattern: a
+// wholesale SetSchedule, which leaves every memo entry stale, then one
+// critical-swap query, which re-scans every partner machine. The op
+// includes the rebuild (BenchmarkRebuildBucket times it alone). Runs on
+// the Braun u_c_hihi.0 shape (512×16) and a 2048×64 c_hihi GenSpec.
+// 0 allocs/op, CI-guarded.
+func BenchmarkCachedScanCold(b *testing.B) {
+	braun, err := etc.GenerateByName("u_c_hihi.0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	large, err := etc.GenSpec{Jobs: 2048, Machs: 64,
+		Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
+		Seed:  1}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []*etc.Instance{braun, large} {
+		b.Run(fmt.Sprintf("%dx%d", in.Jobs, in.Machs), func(b *testing.B) {
+			s := NewRandom(in, rng.New(7))
+			st := NewState(in, s)
+			sc := st.Scans(DefaultObjective)
+			sc.BestCriticalSwap()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.SetSchedule(s)
+				sc.BestCriticalSwap()
+			}
+		})
 	}
 }
 

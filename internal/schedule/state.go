@@ -63,7 +63,9 @@ type State struct {
 	dirtyMark []bool
 
 	// Output buffers of the batched sweep kernels (sweep.go), owned by
-	// the state so the stateless search methods stay allocation-free.
+	// the state so the stateless search methods stay allocation-free;
+	// sweepA/sweepB also hold the critical-swap scan's staircase
+	// (scancache.go), so they grow to the longest machine list.
 	// Pure scratch: lazily grown, never read across calls, not part of
 	// the state's value (Clone starts them empty, CopyFrom leaves them
 	// alone).

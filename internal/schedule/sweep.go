@@ -115,7 +115,7 @@ func (st *State) FitnessAfterMoveSweep(o Objective, j int, out []float64) []floa
 // have after exchanging a and b — in one scan of m's job list. aOut[k]
 // and bOut[k] are the pair for the job at slot k of JobsOn(m). Nil output
 // slices use buffers owned by the state (valid until the next swap sweep
-// on it); explicit slices must have length >= len(JobsOn(m)). The filled
+// or critical-swap query on it); explicit slices must have length >= len(JobsOn(m)). The filled
 // prefixes are returned. Requires a not to be on m.
 //
 // The removal terms of both machines are hoisted out of the loop, so each

@@ -7,7 +7,7 @@
 //	bench -quick          # CI smoke: tiny budgets, small matrix
 //	bench -workers 1,4,8  # explicit worker ladder for the parallel rows
 //	bench -out results/   # artifact directory
-//	bench -algos cma,cached-scan  # row filter (cheap CI subsets)
+//	bench -algos cma,cma-par      # row filter (cheap CI subsets)
 //
 // Every row is one engine run at a fixed iteration budget: the sequential
 // cMA, the block-parallel cMA at each requested worker count (same seed —
@@ -33,8 +33,6 @@ import (
 	"gridcma"
 	"gridcma/internal/etc"
 	"gridcma/internal/localsearch"
-	"gridcma/internal/rng"
-	"gridcma/internal/schedule"
 )
 
 // Row is one measured engine run.
@@ -61,19 +59,6 @@ type Row struct {
 	// workers=1 schedule — the determinism contract, re-verified on every
 	// bench run.
 	IdenticalTo1 bool `json:"identical_to_1,omitempty"`
-	// ProbeSpeedup, on the probe-move row, is wall-clock(scratch) /
-	// wall-clock(probe): how many times the speculative probe beats the
-	// apply+revert evaluation of the same candidates.
-	ProbeSpeedup float64 `json:"probe_speedup,omitempty"`
-	// SweepSpeedup, on the sweep-*-scan rows, is wall-clock(scalar probe
-	// scan) / wall-clock(sweep): how many times the batched sweep kernel
-	// beats the per-candidate scalar probes over the same neighborhoods.
-	SweepSpeedup float64 `json:"sweep_speedup,omitempty"`
-	// CachedSpeedup, on the cached-swap-scan row, is wall-clock(sweep
-	// scan) / wall-clock(cached): how many times the event-driven scan
-	// cache beats re-sweeping the same critical neighborhoods from
-	// scratch under the same commit churn.
-	CachedSpeedup float64 `json:"cached_speedup,omitempty"`
 }
 
 // Report is the BENCH_*.json schema.
@@ -102,7 +87,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "RNG seed shared by every run")
 		workers = flag.String("workers", "", "comma-separated worker ladder for cma-par (default 1,GOMAXPROCS)")
 		grid    = flag.String("grid", "8x8", "population grid WxH of the measured cMA engines")
-		algos   = flag.String("algos", "", "comma-separated row filter (default all): engine names cma, cma-par, cma-sync, sampled-lmcts-batch, sa-sweep, tabu-sweep and micro groups probes, sweeps, cached-scan")
+		algos   = flag.String("algos", "", "comma-separated row filter (default all): engine names cma, cma-par, cma-sync, sampled-lmcts-batch, sa-sweep, tabu-sweep")
 
 		frontier      = flag.Bool("frontier", false, "run the large-instance ladder instead of the engine matrix; writes BENCH_frontier.json")
 		frontierSpecs = flag.String("ladder", "", "comma-separated GenSpec ladder for -frontier (default "+defaultFrontierLadder+")")
@@ -235,22 +220,6 @@ func main() {
 				rep.Rows = append(rep.Rows, measureNamed(spec, name, iterations, *seed))
 			}
 		}
-
-		// Probe vs scratch micro rows: the same random candidate moves,
-		// evaluated once through the speculative probe and once through
-		// apply+revert.
-		if allow("probes") {
-			rep.Rows = append(rep.Rows, measureProbes(spec, *seed, *quick)...)
-		}
-
-		// Sweep vs scalar-probe micro rows: the same neighborhoods (all
-		// move targets of a job; all critical swap partners), evaluated
-		// once per candidate through the scalar probes and once through
-		// the batched sweep kernels; the swap side adds the event-driven
-		// cached-scan row (cached vs sweep vs scalar).
-		if allow("sweeps") || allow("cached-scan") {
-			rep.Rows = append(rep.Rows, measureSweeps(spec, *seed, *quick, allow)...)
-		}
 	}
 
 	path := filepath.Join(*out, "BENCH_"+*label+".json")
@@ -363,234 +332,6 @@ func measureNamed(spec instanceSpec, name string, iterations int, seed uint64) R
 	return row
 }
 
-// measureProbes times the speculative probe path against the historical
-// apply+revert path on the same sequence of random candidate moves, and
-// emits one row per path. The probe row's ProbeSpeedup column is the
-// headline number of the incremental objective engine.
-func measureProbes(spec instanceSpec, seed uint64, quick bool) []Row {
-	ops := 200000
-	if quick {
-		ops = 20000
-	}
-	o := schedule.DefaultObjective
-	run := func(probe bool) (Row, float64) {
-		r := rng.New(seed)
-		st := schedule.NewState(spec.in, schedule.NewRandom(spec.in, r))
-		alg := "scratch-move"
-		if probe {
-			alg = "probe-move"
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		var sink float64
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			j, to := r.Intn(spec.in.Jobs), r.Intn(spec.in.Machs)
-			if probe {
-				sink += st.FitnessAfterMove(o, j, to)
-			} else {
-				from := st.Assign(j)
-				st.Move(j, to)
-				sink += o.Of(st)
-				st.Move(j, from)
-			}
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		row := Row{
-			Instance: spec.name, Jobs: spec.jobs, Machs: spec.machs,
-			Algorithm: alg, Seconds: elapsed.Seconds(), Evals: int64(ops),
-			Allocs: after.Mallocs - before.Mallocs, AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		}
-		if elapsed > 0 {
-			row.EvalsPerSec = float64(ops) / elapsed.Seconds()
-		}
-		_ = sink
-		return row, elapsed.Seconds()
-	}
-	scratchRow, scratchSec := run(false)
-	probeRow, probeSec := run(true)
-	if probeSec > 0 {
-		probeRow.ProbeSpeedup = scratchSec / probeSec
-	}
-	fmt.Printf("  %-12s %8.3fs  evals/s %10.1f\n", scratchRow.Algorithm, scratchRow.Seconds, scratchRow.EvalsPerSec)
-	fmt.Printf("  %-12s %8.3fs  evals/s %10.1f  speedup %.2fx  allocs %d\n",
-		probeRow.Algorithm, probeRow.Seconds, probeRow.EvalsPerSec, probeRow.ProbeSpeedup, probeRow.Allocs)
-	return []Row{scratchRow, probeRow}
-}
-
-// measureSweeps times the batched sweep kernels against the scalar-probe
-// scans they replaced, over identical candidate neighborhoods, and emits
-// one row per path. The sweep rows' SweepSpeedup column is the headline
-// number of the batched evaluation layer; the swap side adds the
-// event-driven cached scan (same neighborhoods, same commit churn) whose
-// CachedSpeedup column is the headline number of the dirty-machine delta
-// engine.
-func measureSweeps(spec instanceSpec, seed uint64, quick bool, allow func(string) bool) []Row {
-	moveScans, swapScans := 20000, 1000
-	if quick {
-		moveScans, swapScans = 2000, 100
-	}
-	o := schedule.DefaultObjective
-
-	row := func(alg string, evals int64, elapsed time.Duration, before, after *runtime.MemStats) Row {
-		r := Row{
-			Instance: spec.name, Jobs: spec.jobs, Machs: spec.machs,
-			Algorithm: alg, Seconds: elapsed.Seconds(), Evals: evals,
-			Allocs: after.Mallocs - before.Mallocs, AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		}
-		if elapsed > 0 {
-			r.EvalsPerSec = float64(evals) / elapsed.Seconds()
-		}
-		return r
-	}
-
-	// Move side: every machine as a target for a random job — the SLM
-	// neighborhood — scalar probes vs one sweep call.
-	moveRun := func(sweep bool) (Row, float64) {
-		r := rng.New(seed)
-		st := schedule.NewState(spec.in, schedule.NewRandom(spec.in, r))
-		alg := "probe-move-scan"
-		if sweep {
-			alg = "sweep-move-scan"
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		var sink float64
-		start := time.Now()
-		for i := 0; i < moveScans; i++ {
-			j := r.Intn(spec.in.Jobs)
-			if sweep {
-				fits := st.FitnessAfterMoveSweep(o, j, nil)
-				sink += fits[j%spec.in.Machs]
-			} else {
-				from := st.Assign(j)
-				for to := 0; to < spec.in.Machs; to++ {
-					if to == from {
-						continue
-					}
-					sink += st.FitnessAfterMove(o, j, to)
-				}
-			}
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		_ = sink
-		return row(alg, int64(moveScans)*int64(spec.in.Machs-1), elapsed, &before, &after), elapsed.Seconds()
-	}
-
-	// Swap side: the full LMCTS critical scan — every critical job against
-	// every partner job — scalar pair queries vs the step-level swap scan
-	// vs the event-driven cached scan. All three modes walk the same
-	// churn stream (one committed random move between scans), so the
-	// cached mode answers each step's scan from its memo after re-sweeping
-	// only the machines that move dirtied.
-	swapRun := func(mode string) (Row, float64) {
-		r := rng.New(seed)
-		st := schedule.NewState(spec.in, schedule.NewRandom(spec.in, r))
-		sc := st.Scans(o)
-		alg := mode + "-swap-scan"
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		var sink float64
-		var evals int64
-		start := time.Now()
-		for i := 0; i < swapScans; i++ {
-			crit := st.MakespanMachine()
-			critJobs := st.JobsOn(crit)
-			switch mode {
-			case "cached":
-				v, _, _ := sc.BestCriticalSwap()
-				sink += v
-			case "sweep":
-				scan := st.BeginSwapScan(crit)
-				for _, a := range critJobs {
-					v, _ := scan.BestPartner(int(a))
-					sink += v
-				}
-			default: // probe
-				for _, a := range critJobs {
-					for b := 0; b < spec.in.Jobs; b++ {
-						if st.Assign(b) == crit {
-							continue
-						}
-						aC, bC := st.CompletionAfterSwap(int(a), b)
-						if bC > aC {
-							aC = bC
-						}
-						sink += aC
-					}
-				}
-			}
-			evals += int64(len(critJobs)) * int64(spec.in.Jobs-len(critJobs))
-			// Churn the state (same stream on every path) so successive
-			// scans see fresh critical machines.
-			st.Move(r.Intn(spec.in.Jobs), r.Intn(spec.in.Machs))
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		_ = sink
-		return row(alg, evals, elapsed, &before, &after), elapsed.Seconds()
-	}
-
-	printScalar := func(r Row) {
-		fmt.Printf("  %-15s %8.3fs  evals/s %12.1f\n", r.Algorithm, r.Seconds, r.EvalsPerSec)
-	}
-	printSped := func(r Row, speedup float64) {
-		fmt.Printf("  %-15s %8.3fs  evals/s %12.1f  speedup %.2fx  allocs %d\n",
-			r.Algorithm, r.Seconds, r.EvalsPerSec, speedup, r.Allocs)
-	}
-
-	out := make([]Row, 0, 5)
-	if allow("sweeps") {
-		scalarRow, scalarSec := moveRun(false)
-		sweepRow, sweepSec := moveRun(true)
-		if sweepSec > 0 {
-			sweepRow.SweepSpeedup = scalarSec / sweepSec
-		}
-		printScalar(scalarRow)
-		printSped(sweepRow, sweepRow.SweepSpeedup)
-		out = append(out, scalarRow, sweepRow)
-	}
-	// The sweep swap row runs whenever either group wants it — it is both
-	// a "sweeps" row and the baseline the cached row's speedup column is
-	// defined against (same churn stream). The scalar swap row — the
-	// slowest micro row by far — runs only for "sweeps", where its
-	// SweepSpeedup baseline is actually reported.
-	if allow("sweeps") {
-		scalarRow, scalarSec := swapRun("probe")
-		printScalar(scalarRow)
-		out = append(out, scalarRow)
-		sweepRow, sweepSec := swapRun("sweep")
-		if sweepSec > 0 {
-			sweepRow.SweepSpeedup = scalarSec / sweepSec
-		}
-		printSped(sweepRow, sweepRow.SweepSpeedup)
-		out = append(out, sweepRow)
-		if allow("cached-scan") {
-			cachedRow, cachedSec := swapRun("cached")
-			if cachedSec > 0 {
-				cachedRow.CachedSpeedup = sweepSec / cachedSec
-			}
-			printSped(cachedRow, cachedRow.CachedSpeedup)
-			out = append(out, cachedRow)
-		}
-		return out
-	}
-	sweepRow, sweepSec := swapRun("sweep")
-	printScalar(sweepRow) // no scalar baseline ran, so no speedup column
-	out = append(out, sweepRow)
-	cachedRow, cachedSec := swapRun("cached")
-	if cachedSec > 0 {
-		cachedRow.CachedSpeedup = sweepSec / cachedSec
-	}
-	printSped(cachedRow, cachedRow.CachedSpeedup)
-	return append(out, cachedRow)
-}
-
 // parseAlgos builds the row filter: nil/empty selects everything.
 func parseAlgos(s string) (func(string) bool, error) {
 	if strings.TrimSpace(s) == "" {
@@ -599,7 +340,6 @@ func parseAlgos(s string) (func(string) bool, error) {
 	known := map[string]bool{
 		"cma": true, "cma-par": true, "cma-sync": true,
 		"sampled-lmcts-batch": true, "sa-sweep": true, "tabu-sweep": true,
-		"probes": true, "sweeps": true, "cached-scan": true,
 	}
 	set := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {

@@ -78,12 +78,10 @@
 // without mutating the state, bit-identical to applying the move,
 // evaluating and reverting. Sweep evaluation batches whole candidate
 // neighborhoods over shared partial results: FitnessAfterMoveSweep
-// scores moving one job to every machine in one pass,
-// CompletionAfterSwapSweep and the step-level swap scan
-// (BeginSwapScan/BestPartner) emit the post-swap completions of one job
-// against every partner in single list scans, and BeginMoveScan caches
-// the top completions so batches of unrelated probes skip the per-probe
-// tree walks. Every sweep value equals its scalar probe bit for bit.
+// scores moving one job to every machine in one pass, and BeginMoveScan
+// caches the top completions so batches of unrelated probes skip the
+// per-probe tree walks. Every sweep value equals its scalar probe bit for
+// bit.
 // Cached-scan evaluation (State.Scans → ScanCache) is the event-driven
 // delta layer on top: commits stamp their two machines with fresh epochs
 // and log them in a commit-time dirty set (plus the old and new critical
@@ -115,7 +113,7 @@
 // and budget always reproduce the same schedule, byte for byte
 // (testdata/golden.json). Evaluation-path rewrites ship only when
 // provably behavior-preserving; candidate-stream reorderings ship as new
-// names — sampled-lmcts-batch (upfront machine-grouped partner pool),
+// names — sampled-lmcts-batch (one upfront partner pool per step),
 // sa-sweep and tabu-sweep (per-machine proposal distributions over
 // FitnessAfterMoveSweep) — so the frozen names' trajectories never move.
 //

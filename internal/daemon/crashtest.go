@@ -15,8 +15,7 @@ import (
 // join up to capacity, jobs arrive and complete oldest-first, machines
 // leave and fail (never stranding the last alive one), and admissions
 // close every burst. It mirrors just enough grid state to only emit
-// events the grid accepts; the caller must reset used to len(alive)
-// after each admit, mirroring the grid's departed-slot recycling.
+// events the grid accepts, including the admit's departed-slot recycling.
 type scriptGen struct {
 	r       *rng.Source
 	nextJob uint64
@@ -54,6 +53,8 @@ func (d *scriptGen) next() eventlog.Event {
 		d.live = d.live[1:]
 		return eventlog.Event{Type: eventlog.Complete, Job: id}
 	case roll < 45:
+		// Slots free up once the admission window has drained them.
+		d.used = len(d.alive)
 		return eventlog.Event{Type: eventlog.Admit}
 	default:
 		d.nextJob++
@@ -61,6 +62,18 @@ func (d *scriptGen) next() eventlog.Event {
 		d.live = append(d.live, id)
 		return eventlog.Event{Type: eventlog.Submit, Job: id, Base: 1 + float64(d.r.Intn(8))}
 	}
+}
+
+// Script generates a deterministic, grid-acceptable event script: the
+// stream the crash and failover tortures and the replication bench all
+// drive their daemons with. Same (seed, machCap, n) → same events.
+func Script(seed uint64, machCap, n int) []eventlog.Event {
+	gen := newScriptGen(seed, machCap)
+	events := make([]eventlog.Event, n)
+	for i := range events {
+		events[i] = gen.next()
+	}
+	return events
 }
 
 // CrashTestConfig parameterises a crash-torture run.
@@ -121,18 +134,17 @@ func CrashTest(cfg CrashTestConfig) (*CrashTestResult, error) {
 
 	// Reference run: script, per-event digests, clean WAL bytes and the
 	// byte boundary after each record.
-	gen := newScriptGen(cfg.Seed, cfg.Grid.MachCap)
 	ref, err := NewGrid(cfg.Grid)
 	if err != nil {
 		return nil, err
 	}
-	script := make([]eventlog.Event, 0, cfg.Events)
+	script := Script(cfg.Seed, cfg.Grid.MachCap, cfg.Events)
 	digests := make([]string, 0, cfg.Events)
 	var refBuf bytes.Buffer
 	w := eventlog.NewWriter(&refBuf)
 	bounds := []int64{0}
-	for i := 0; i < cfg.Events; i++ {
-		stamped, err := w.Append(gen.next())
+	for i, e := range script {
+		stamped, err := w.Append(e)
 		if err != nil {
 			return nil, fmt.Errorf("crashtest: reference append %d: %w", i, err)
 		}
@@ -142,10 +154,7 @@ func CrashTest(cfg CrashTestConfig) (*CrashTestResult, error) {
 		if err := ref.Apply(stamped); err != nil {
 			return nil, fmt.Errorf("crashtest: reference apply %d (%+v): %w", i, stamped, err)
 		}
-		if stamped.Type == eventlog.Admit {
-			gen.used = len(gen.alive)
-		}
-		script = append(script, stamped)
+		script[i] = stamped
 		digests = append(digests, ref.Digest())
 		bounds = append(bounds, int64(refBuf.Len()))
 	}

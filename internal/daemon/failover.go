@@ -9,26 +9,9 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
-	"gridcma/internal/eventlog"
 	"gridcma/internal/rng"
 	"gridcma/internal/transport"
 )
-
-// Script generates a deterministic, grid-acceptable event script: the
-// stream the crash and failover tortures and the replication bench all
-// drive their daemons with. Same (seed, machCap, n) → same events.
-func Script(seed uint64, machCap, n int) []eventlog.Event {
-	gen := newScriptGen(seed, machCap)
-	events := make([]eventlog.Event, n)
-	for i := range events {
-		e := gen.next()
-		if e.Type == eventlog.Admit {
-			gen.used = len(gen.alive)
-		}
-		events[i] = e
-	}
-	return events
-}
 
 // FailoverTestConfig parameterises a failover-torture run.
 type FailoverTestConfig struct {

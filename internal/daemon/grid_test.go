@@ -39,11 +39,6 @@ func drive(t *testing.T, g *Grid, seed uint64, n int) []eventlog.Event {
 			t.Fatalf("event %d (%+v): %v", i, e, err)
 		}
 		out = append(out, e)
-		// Mirror the admit's departed-slot recycling: slots free up once
-		// the admission window has drained them.
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
-		}
 	}
 	e := admitEvent()
 	if err := g.Apply(e); err != nil {
@@ -225,9 +220,6 @@ func TestGridAdmissionCyclesLeakFree(t *testing.T) {
 		e := d.next()
 		if err := g.Apply(e); err != nil {
 			t.Fatalf("event %d (%+v): %v", i, e, err)
-		}
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
 		}
 		if n := schedule.DirtyAuditPending(); n != 0 {
 			t.Fatalf("event %d (%s): %d dirty marks leaked past Apply", i, e.Type, n)

@@ -142,9 +142,6 @@ func TestCheckInvariantsOnDrivenGrid(t *testing.T) {
 		if err := g.Apply(e); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
-		}
 		if i%50 == 0 {
 			if err := g.CheckInvariants(); err != nil {
 				t.Fatalf("after event %d: %v", i, err)
@@ -185,9 +182,6 @@ func TestReplayDeterminism(t *testing.T) {
 		e := d.next()
 		if err := live.Apply(e); err != nil {
 			t.Fatalf("event %d (%+v): %v", i, e, err)
-		}
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
 		}
 		if i == cut {
 			snap = live.Snapshot()
@@ -251,9 +245,6 @@ func TestReplayDeterminismThroughLog(t *testing.T) {
 		}
 		if err := live.Apply(e); err != nil {
 			t.Fatalf("event %d (%+v): %v", i, e, err)
-		}
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
 		}
 		if i == cut {
 			snap = live.Snapshot()

@@ -48,15 +48,7 @@ func hashTrajectory(t *testing.T, cfg Config, events []eventlog.Event) {
 // every event of the crashtest, failovertest and simtrace streams.
 func TestStateHashDifferential(t *testing.T) {
 	t.Run("crashtest", func(t *testing.T) {
-		gen := newScriptGen(11, testConfig().MachCap)
-		events := make([]eventlog.Event, 400)
-		for i := range events {
-			events[i] = gen.next()
-			if events[i].Type == eventlog.Admit {
-				gen.used = len(gen.alive)
-			}
-		}
-		hashTrajectory(t, testConfig(), events)
+		hashTrajectory(t, testConfig(), Script(11, testConfig().MachCap, 400))
 	})
 	t.Run("failovertest", func(t *testing.T) {
 		cfg := DefaultConfig()
@@ -210,9 +202,6 @@ func TestStateHashDriftReported(t *testing.T) {
 		e := d.next()
 		if err := g.Apply(e); err != nil {
 			t.Fatal(err)
-		}
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
 		}
 	}
 	if err := g.CheckInvariants(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func TestDistMatchesInProcessChannelTransport(t *testing.T) {
 		}
 		if digests == nil {
 			digests = rep.Digests
-		} else if !sameStrings(digests, rep.Digests) {
+		} else if !slices.Equal(digests, rep.Digests) {
 			t.Fatalf("workers=%d: digest trajectory depends on worker count", workers)
 		}
 	}
@@ -166,7 +167,7 @@ func TestPermanentDeathDegradesGracefully(t *testing.T) {
 		t.Fatalf("degraded run should complete, got %v", err)
 	}
 	want := PredictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
-	if !sameInts(rep.Survivors, want) {
+	if !slices.Equal(rep.Survivors, want) {
 		t.Fatalf("survivors %v, oracle predicted %v", rep.Survivors, want)
 	}
 	if len(rep.Deaths) != rig.dcfg.Islands-len(want) {

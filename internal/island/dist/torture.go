@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"gridcma/internal/chaos"
@@ -11,7 +12,6 @@ import (
 	"gridcma/internal/island"
 	"gridcma/internal/retry"
 	"gridcma/internal/run"
-	"gridcma/internal/schedule"
 	"gridcma/internal/transport"
 )
 
@@ -190,13 +190,13 @@ func Torture(tc TortureConfig) (*TortureReport, error) {
 			return nil, fmt.Errorf("disttorture: case %d replay (plan %v): %w", caseIdx, plan, err)
 		}
 
-		if !sameInts(rep1.Survivors, want) {
+		if !slices.Equal(rep1.Survivors, want) {
 			return nil, fmt.Errorf("disttorture: case %d: survivors %v, oracle predicted %v (plan %v)", caseIdx, rep1.Survivors, want, plan)
 		}
-		if !sameInts(rep1.Survivors, rep2.Survivors) {
+		if !slices.Equal(rep1.Survivors, rep2.Survivors) {
 			return nil, fmt.Errorf("disttorture: case %d: survivor sets differ between identical runs: %v vs %v", caseIdx, rep1.Survivors, rep2.Survivors)
 		}
-		if !sameStrings(rep1.Digests, rep2.Digests) {
+		if !slices.Equal(rep1.Digests, rep2.Digests) {
 			return nil, fmt.Errorf("disttorture: case %d: digest trajectories differ between identical runs", caseIdx)
 		}
 		if err := sameResult(res1, res2); err != nil {
@@ -205,7 +205,7 @@ func Torture(tc TortureConfig) (*TortureReport, error) {
 		if degraded {
 			rep.Degraded++
 		} else {
-			if !sameStrings(rep1.Digests, cleanRep.Digests) {
+			if !slices.Equal(rep1.Digests, cleanRep.Digests) {
 				return nil, fmt.Errorf("disttorture: case %d: transient-only plan %v changed the digest trajectory", caseIdx, plan)
 			}
 			if err := sameResult(res1, ref); err != nil {
@@ -222,7 +222,7 @@ func Torture(tc TortureConfig) (*TortureReport, error) {
 }
 
 func sameResult(a, b run.Result) error {
-	if !schedEqual(a.Best, b.Best) {
+	if !a.Best.Equal(b.Best) {
 		return fmt.Errorf("best schedules differ")
 	}
 	if a.Fitness != b.Fitness || a.Makespan != b.Makespan || a.Flowtime != b.Flowtime {
@@ -236,40 +236,4 @@ func sameResult(a, b run.Result) error {
 		return fmt.Errorf("eval counts differ: %d vs %d", a.Evals, b.Evals)
 	}
 	return nil
-}
-
-func schedEqual(a, b schedule.Schedule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -41,7 +41,6 @@ package localsearch
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
@@ -206,13 +205,8 @@ func (s SampledLMCTS) Name() string { return "LMCTS-sampled" }
 
 // SampledLMCTSBatch is the batch-native sampled LMCTS: one pool of at
 // most Samples random partner jobs is drawn upfront per iteration
-// (instead of per critical job), sorted machine-grouped, captured once
-// with the swap-sweep kernel (State.BeginSwapScanIDs) and scanned by
-// every critical job through the flat per-machine invariants — the
-// partner-side completion terms are derived once per partner instead of
-// once per (critical job, partner) pair, and the sweep's hoisted
-// arithmetic applies to the sampled set exactly as it does to the full
-// scan.
+// (instead of per critical job), and every critical job is paired with
+// every job of that shared pool through the scalar pair query.
 //
 // The candidate order is no longer the RNG stream of SampledLMCTS (one
 // shared pool versus per-critical-job draws), so trajectories differ:
@@ -246,11 +240,11 @@ func (s SampledLMCTSBatch) Name() string { return "LMCTS-sampled-batch" }
 // batchSampledSwap performs one steepest swap step between the critical
 // machine and a shared pool of n sampled partners. Draws landing on the
 // critical machine are discarded (they consume the stream, like the
-// per-job sampling's skip). The kept ids are sorted by (machine, id) so
-// the swap scan sees them machine-grouped; BestPartner's smallest-id
-// tie-break and the strict fold across critical jobs in SPT order then
-// mirror the full scan's tie-break contract on the sampled subset.
-// Returns the fitness after the step and whether a swap was applied.
+// per-job sampling's skip). Each critical job keeps its best pool
+// partner, the smallest id among exact ties, and the strict fold across
+// critical jobs in SPT order keeps the first job reaching the minimum —
+// the full scan's tie-break contract on the sampled subset. Returns the
+// fitness after the step and whether a swap was applied.
 func batchSampledSwap(st *schedule.State, o schedule.Objective, cur float64, n int, r *rng.Source) (float64, bool) {
 	in := st.Instance()
 	crit := st.MakespanMachine()
@@ -264,22 +258,18 @@ func batchSampledSwap(st *schedule.State, o schedule.Objective, cur float64, n i
 			ids = append(ids, b)
 		}
 	}
-	if len(ids) == 0 {
-		return cur, false
-	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		if ma, mb := st.Assign(int(a)), st.Assign(int(b)); ma != mb {
-			return ma - mb
-		}
-		return int(a - b)
-	})
-	scan := st.BeginSwapScanIDs(crit, ids)
 	bestA, bestB := -1, -1
 	bestMax := st.Completion(crit)
 	for _, a := range critJobs {
-		v, b := scan.BestPartner(int(a))
-		if b >= 0 && v < bestMax {
-			bestMax, bestA, bestB = v, int(a), b
+		av, ab := math.Inf(1), -1
+		for _, b := range ids {
+			aC, bC := st.CompletionAfterSwap(int(a), int(b))
+			if v := math.Max(aC, bC); v < av || (v == av && int(b) < ab) {
+				av, ab = v, int(b)
+			}
+		}
+		if ab >= 0 && av < bestMax {
+			bestMax, bestA, bestB = av, int(a), ab
 		}
 	}
 	if bestA < 0 {

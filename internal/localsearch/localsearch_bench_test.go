@@ -112,38 +112,18 @@ func benchStateShape(b *testing.B, jobs, machs int) *schedule.State {
 }
 
 // converge drives the state to an LMCTS local optimum, the steady state
-// the cached-vs-sweep benchmarks measure: every subsequent Improve call
-// is one full neighborhood scan that finds nothing (and commits nothing),
+// the cached-scan benchmarks measure: every subsequent Improve call is
+// one full neighborhood scan that finds nothing (and commits nothing),
 // which is exactly where the event-driven cache collapses the scan to a
-// fold of memoized per-machine bests while the sweep formulation re-scans
-// every pair.
+// fold of memoized per-machine bests.
 func converge(st *schedule.State, o schedule.Objective) {
 	LMCTS{}.Improve(st, o, 1<<30, nil)
 }
 
-// BenchmarkLMCTSSweep measures one full-scan LMCTS step through the
-// batched swap sweeps (CompletionAfterSwapSweep per partner machine) —
-// the pre-cache formulation, retained as the reference the delta engine
-// is measured against. BenchmarkLMCTSCachedScan vs BenchmarkLMCTSSweep
-// (steady state, same converged state shape) is the headline number of
-// the dirty-machine delta engine; BenchmarkLMCTSSweep vs
-// BenchmarkLMCTSScalarProbe remains the sweep layer's swap-side number.
-func BenchmarkLMCTSSweep(b *testing.B) {
-	st, _ := benchState(b)
-	o := schedule.DefaultObjective
-	converge(st, o)
-	lmctsSweepScan(st, o, 1) // warm the state-owned swap-scan buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lmctsSweepScan(st, o, 1)
-	}
-}
-
 // BenchmarkLMCTSCachedScan measures the shipped LMCTS through the
-// event-driven scan cache on the same converged 512×16 state
-// BenchmarkLMCTSSweep scans. Must report 0 allocs/op — CI runs every
-// CachedScan benchmark with -benchtime=1x and fails otherwise.
+// event-driven scan cache on a converged 512×16 state; the uncached
+// reference is BenchmarkLMCTSScalarProbe. Must report 0 allocs/op — CI
+// runs every CachedScan benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkLMCTSCachedScan(b *testing.B) {
 	st, _ := benchState(b)
 	o := schedule.DefaultObjective
@@ -155,25 +135,9 @@ func BenchmarkLMCTSCachedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkLMCTSSweepLarge is the sweep reference at the 2048×64 scale,
-// where the O(critical jobs × jobs) full scan is ~65k pair evaluations
-// per iteration.
-func BenchmarkLMCTSSweepLarge(b *testing.B) {
-	st := benchStateShape(b, 2048, 64)
-	o := schedule.DefaultObjective
-	converge(st, o)
-	lmctsSweepScan(st, o, 1) // warm the state-owned swap-scan buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lmctsSweepScan(st, o, 1)
-	}
-}
-
-// BenchmarkLMCTSCachedScanLarge is the delta engine at 2048×64: the
-// acceptance bar is ≥5× over BenchmarkLMCTSSweepLarge steady-state at 0
-// allocs/op (the warm query folds 64 cached machine bests instead of
-// re-sweeping ~65k pairs).
+// BenchmarkLMCTSCachedScanLarge is the delta engine at 2048×64, at 0
+// allocs/op: the warm query folds 64 cached machine bests instead of
+// re-scanning the ~65k pairs of the full neighborhood.
 func BenchmarkLMCTSCachedScanLarge(b *testing.B) {
 	st := benchStateShape(b, 2048, 64)
 	o := schedule.DefaultObjective
@@ -186,7 +150,7 @@ func BenchmarkLMCTSCachedScanLarge(b *testing.B) {
 }
 
 // BenchmarkSampledLMCTSBatch measures one batch-native sampled step
-// (upfront pool draw, machine-grouped sweep scan) for comparison with
+// (upfront pool draw, scalar pair scan of the pool) for comparison with
 // BenchmarkLMCTSProbe, the per-job scalar sampling it derives from.
 func BenchmarkSampledLMCTSBatch(b *testing.B) {
 	st, r := benchState(b)
@@ -199,9 +163,9 @@ func BenchmarkSampledLMCTSBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkLMCTSScalarProbe is the pre-sweep full scan (every partner
-// job through the scalar pair query), kept as the reference the swap
-// sweep is measured against.
+// BenchmarkLMCTSScalarProbe is the uncached full scan (every partner job
+// through the scalar pair query), kept as the reference the cached scan
+// is measured against.
 func BenchmarkLMCTSScalarProbe(b *testing.B) {
 	st, _ := benchState(b)
 	o := schedule.DefaultObjective

@@ -9,8 +9,8 @@ import (
 	"gridcma/internal/schedule"
 )
 
-// This file pins the batched sweep formulations of SLM and LMCTS to the
-// historical scalar-probe formulations, which are kept here verbatim as
+// This file pins the shipped SLM (move sweep) and LMCTS (cached staircase
+// scan) to the historical scalar-probe formulations, which are kept here verbatim as
 // references: for identical seeds the two must walk identical
 // trajectories — every committed step the same, bit for bit — on both
 // generic random instances and tie-heavy integer instances where the
@@ -39,10 +39,10 @@ func slmScalarProbe(st *schedule.State, o schedule.Objective, iters int, r *rng.
 	}
 }
 
-// lmctsScalarScan is the pre-sweep LMCTS full scan: every partner job in
+// lmctsScalarScan is the uncached LMCTS full scan: every partner job in
 // ascending id order through the scalar pair query, with the strict-<
 // fold whose implicit tie-break (first critical job, then smallest
-// partner id) the batched scan must reproduce.
+// partner id) the cached scan must reproduce.
 func lmctsScalarScan(st *schedule.State, o schedule.Objective, iters int, _ *rng.Source) {
 	in := st.Instance()
 	for it := 0; it < iters; it++ {
@@ -122,32 +122,12 @@ func TestSLMSweepMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLMCTSSweepMatchesScalar is the swap-side trajectory differential:
-// the machine-grouped batched scan must pick the exact swap the
-// ascending-id scalar scan picked, including on tie-heavy instances.
-func TestLMCTSSweepMatchesScalar(t *testing.T) {
-	o := schedule.DefaultObjective
-	for i, in := range diffInstances() {
-		start := schedule.NewRandom(in, rng.New(uint64(i)+60))
-		a := schedule.NewState(in, start)
-		b := schedule.NewState(in, start.Clone())
-		for step := 0; step < 80; step++ {
-			LMCTS{}.Improve(a, o, 1, nil)
-			lmctsScalarScan(b, o, 1, nil)
-			if !a.Schedule().Equal(b.Schedule()) {
-				t.Fatalf("instance %d step %d: sweep LMCTS diverged from scalar reference", i, step)
-			}
-		}
-	}
-}
-
-// TestLMCTSCachedMatchesSweepReference is the delta-engine trajectory
-// differential: the shipped LMCTS (event-driven scan cache) must walk the
-// exact trajectory of the retained uncached full-sweep formulation —
-// every committed swap the same — across generic and tie-heavy
-// instances. Together with TestLMCTSSweepMatchesScalar this chains
-// cached == sweep == scalar.
-func TestLMCTSCachedMatchesSweepReference(t *testing.T) {
+// TestLMCTSCachedMatchesScalarReference is the swap-side trajectory
+// differential: the shipped LMCTS (event-driven scan cache, staircase
+// scan per machine) must walk the exact trajectory of the ascending-id
+// scalar scan — every committed swap the same — across generic and
+// tie-heavy instances.
+func TestLMCTSCachedMatchesScalarReference(t *testing.T) {
 	o := schedule.DefaultObjective
 	for i, in := range diffInstances() {
 		start := schedule.NewRandom(in, rng.New(uint64(i)+70))
@@ -155,53 +135,19 @@ func TestLMCTSCachedMatchesSweepReference(t *testing.T) {
 		b := schedule.NewState(in, start.Clone())
 		for step := 0; step < 80; step++ {
 			LMCTS{}.Improve(a, o, 1, nil)
-			lmctsSweepScan(b, o, 1)
+			lmctsScalarScan(b, o, 1, nil)
 			if !a.Schedule().Equal(b.Schedule()) {
-				t.Fatalf("instance %d step %d: cached LMCTS diverged from sweep reference", i, step)
+				t.Fatalf("instance %d step %d: cached LMCTS diverged from scalar reference", i, step)
 			}
 		}
 	}
 }
 
-// lmctsSweepScan is the pre-cache LMCTS formulation — a full batched
-// sweep of the critical neighborhood every iteration — kept as the
-// reference the cached rewrite is differentially tested against. The
-// partner-side invariants are captured once per step (BeginSwapScan) and
-// every critical job folds its best partner from the flat cache: the
-// per-job minimum with the smallest-id tie-break, then a strict fold
-// across critical jobs in SPT order, reproduces the historical
-// ascending-id scan's winner exactly.
-func lmctsSweepScan(st *schedule.State, o schedule.Objective, iters int) {
-	cur := o.Of(st)
-	for k := 0; k < iters; k++ {
-		crit := st.MakespanMachine()
-		critJobs := st.JobsOn(crit)
-		if len(critJobs) == 0 {
-			return
-		}
-		bestA, bestB := -1, -1
-		bestMax := st.Completion(crit)
-		scan := st.BeginSwapScan(crit)
-		for _, a := range critJobs {
-			if v, b := scan.BestPartner(int(a)); b >= 0 && v < bestMax {
-				bestMax, bestA, bestB = v, int(a), b
-			}
-		}
-		if bestA < 0 {
-			return
-		}
-		f, ok := tryCommitSwap(st, o, cur, bestA, bestB)
-		if !ok {
-			return
-		}
-		cur = f
-	}
-}
-
-// batchSampledScalarRef re-implements SampledLMCTSBatch's step with
-// scalar pair queries over the identically drawn (and identically
-// sorted) partner pool: the machine-grouped sweep scan must pick the
-// same swap, including the smallest-id tie-break.
+// batchSampledScalarRef is an independent copy of SampledLMCTSBatch's
+// step, kept so that a change to the shipped loop's tie-break shows: on
+// the tie-heavy instances the shipped step must pick the same swap,
+// including the smallest-id partner among exact ties, which the golden
+// cases alone do not pin.
 func batchSampledScalarRef(st *schedule.State, o schedule.Objective, cur float64, n int, r *rng.Source) (float64, bool) {
 	in := st.Instance()
 	crit := st.MakespanMachine()

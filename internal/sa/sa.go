@@ -146,7 +146,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 				// in one batched sweep, Metropolis-test the steepest one
 				// (smallest machine id among exact ties).
 				j := r.Intn(in.Jobs)
-				fits := cur.FitnessAfterMoveSweep(o, j, nil)
+				fits := cur.FitnessAfterMoveSweep(o, j)
 				from := cur.Assign(j)
 				bestF, bestTo := math.Inf(1), -1
 				for to, f := range fits {

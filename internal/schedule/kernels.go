@@ -2,44 +2,21 @@ package schedule
 
 import "math"
 
-// Generic ETC-matrix kernels for the float32 backing
-// (etc.GenSpec.Float32, halving a frontier matrix's footprint): the few
-// evaluation loops hot enough to read the flat matrix directly dispatch
-// once on the backing and run these stencils under ETC32, mirroring the
-// hand-written float64 loops at their call sites line for line. (The
-// float64 originals stay hand-written rather than instantiating these
-// with E = float64: the generic instantiation measured 10–40% slower on
-// the scan benchmarks, and those loops carry the bit-identity contract.)
-// Entries are widened to float64 at the load; all arithmetic downstream
-// of the load is identical for both backings.
+// Generic ETC-matrix kernel for the float32 backing
+// (etc.GenSpec.Float32, halving a frontier matrix's footprint): the one
+// evaluation loop hot enough to read the flat matrix directly, bestOn's
+// staircase scan, dispatches once on the backing and runs this stencil
+// under ETC32, mirroring the hand-written float64 loop at its call site
+// line for line. (The float64 original stays hand-written rather than
+// instantiating this with E = float64: the generic instantiation measured
+// 10–40% slower on the scan benchmarks, and the loop carries the
+// bit-identity contract.) Entries are widened to float64 at the load; all
+// arithmetic downstream of the load is identical for both backings.
 //
 // Everything else reads through At, whose backing branch is one perfectly
 // predicted test per call.
 
 type etcElem interface{ ~float32 | ~float64 }
-
-// swapSweepFill is CompletionAfterSwapSweep's scan of partner machine m's
-// job list: per slot, the post-swap completion pair against critical-side
-// terms hoisted by the caller (caBase, w) and m's own completion cm.
-func swapSweepFill[E etcElem](etc []E, machs, ma, m int, caBase, w, cm float64, jobs []int32, aOut, bOut []float64) {
-	for k, b := range jobs {
-		row := int(b) * machs
-		aOut[k] = caBase + float64(etc[row+ma])
-		bOut[k] = (cm - float64(etc[row+m])) + w
-	}
-}
-
-// appendPartnerInvariants is BeginSwapScan's per-machine capture: partner
-// job b contributes u = ETC[b][crit] and v = completion[m] − ETC[b][m].
-func appendPartnerInvariants[E etcElem](etc []E, machs, crit, m int, cm float64, jobs []int32, u, v []float64, ids []int32) ([]float64, []float64, []int32) {
-	for _, b := range jobs {
-		row := int(b) * machs
-		u = append(u, float64(etc[row+crit]))
-		v = append(v, cm-float64(etc[row+m]))
-		ids = append(ids, b)
-	}
-	return u, v, ids
-}
 
 // bestOnKernel is ScanCache.bestOn's staircase scan: the minimum over
 // critical jobs a and partner jobs b on machine m of max(aC, bC), with

@@ -33,8 +33,8 @@ import (
 // cached query equals a full rescan bit for bit; scancache_test.go pins
 // the staircase against the pair loop (tie-heavy and gridd-shaped
 // instances, both matrix backings, plus a fuzz target) and the cache
-// against a full sweep across thousands of random commit/invalidate
-// sequences.
+// against the full ascending-id pair scan across thousands of random
+// commit/invalidate sequences.
 //
 // The memo pays off between queries on an unchanged critical machine —
 // repeated queries at a local optimum, and the daemon's diff-applied
@@ -136,7 +136,7 @@ func (sc *ScanCache) FitnessAfterMove(j, to int) float64 {
 func (sc *ScanCache) BestMoveTarget(j int) (float64, int) {
 	sc.sync()
 	st := sc.st
-	fits := st.FitnessAfterMoveSweep(sc.o, j, nil)
+	fits := st.FitnessAfterMoveSweep(sc.o, j)
 	from := st.assign[j]
 	bestFit, bestTo := fits[from], from
 	for to, f := range fits {

@@ -11,7 +11,7 @@ import (
 
 // Differential fuzz for the event-driven scan cache: across thousands of
 // random commit/invalidate sequences the cached critical-swap query must
-// return, bit for bit, the winner of a from-scratch full sweep — value,
+// return, bit for bit, the winner of a from-scratch pair scan — value,
 // critical job and partner id — including on tie-heavy integer instances
 // where the (value, SPT-position, id) tie-break contract actually binds.
 
@@ -212,25 +212,23 @@ func FuzzBestOn(f *testing.F) {
 	})
 }
 
-// refCriticalSwap is the uncached reference: a fresh full sweep of the
-// critical neighborhood through BeginSwapScan/BestPartner (itself pinned
-// against the scalar pair query by sweep_test.go), folded with the
-// historical strict-< across critical jobs in SPT order.
+// refCriticalSwap is the uncached reference: every (critical job,
+// partner) pair through the scalar CompletionAfterSwap query, partners in
+// ascending id order, folded with the historical strict-< across critical
+// jobs in SPT order.
 func refCriticalSwap(st *State) (float64, int, int) {
 	crit := st.MakespanMachine()
-	critJobs := st.JobsOn(crit)
-	if len(critJobs) == 0 {
-		return math.Inf(1), -1, -1
-	}
-	scan := st.BeginSwapScan(crit)
 	best, bestA, bestB := math.Inf(1), -1, -1
-	for _, a := range critJobs {
-		if v, b := scan.BestPartner(int(a)); b >= 0 && v < best {
-			best, bestA, bestB = v, int(a), b
+	for _, a := range st.JobsOn(crit) {
+		for b := 0; b < st.inst.Jobs; b++ {
+			if st.Assign(b) == crit {
+				continue
+			}
+			aC, bC := st.CompletionAfterSwap(int(a), b)
+			if v := math.Max(aC, bC); v < best {
+				best, bestA, bestB = v, int(a), b
+			}
 		}
-	}
-	if bestB < 0 {
-		return math.Inf(1), -1, -1
 	}
 	return best, bestA, bestB
 }
@@ -238,9 +236,9 @@ func refCriticalSwap(st *State) (float64, int, int) {
 // TestCachedScanMatchesFullSweep drives a state through long random
 // commit sequences — single moves, swaps, occasional wholesale
 // SetSchedule/CopyFrom invalidations, repeated queries with nothing dirty
-// — and checks the cached query against the reference sweep after every
-// step. The reference runs on a mirror state so its BeginSwapScan cannot
-// share buffers with the cache's sweeps.
+// — and checks the cached query against the reference pair scan after
+// every step. The reference runs on a mirror state, so a query that
+// corrupted the state it scans cannot corrupt its reference too.
 func TestCachedScanMatchesFullSweep(t *testing.T) {
 	o := DefaultObjective
 	for i, in := range scanInstances() {
@@ -336,7 +334,8 @@ func TestScanExemptCriticalMachine(t *testing.T) {
 }
 
 // TestBestMoveTargetMatchesSweepFold pins the cache's steepest-transfer
-// helper against a direct fold over the move sweep.
+// helper against a direct fold over the move sweep. The sweep's result is
+// state-owned and BestMoveTarget sweeps again, so the fold reads a copy.
 func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 	o := DefaultObjective
 	in := scanInstances()[2] // tie-heavy: the strict-< fold must bind
@@ -346,7 +345,7 @@ func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 	out := make([]float64, in.Machs)
 	for step := 0; step < 400; step++ {
 		j := r.Intn(in.Jobs)
-		fits := st.FitnessAfterMoveSweep(o, j, out)
+		fits := append(out[:0], st.FitnessAfterMoveSweep(o, j)...)
 		from := st.Assign(j)
 		wantFit, wantTo := fits[from], from
 		for to, f := range fits {
@@ -360,40 +359,6 @@ func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 		}
 		if wantTo != from {
 			st.Move(j, wantTo)
-		}
-	}
-}
-
-// TestSwapScanIDsMatchesFullScan checks BeginSwapScanIDs against
-// BeginSwapScan: handed every non-critical job, machine-grouped, the
-// restricted scan must reproduce the full scan's BestPartner results
-// exactly.
-func TestSwapScanIDsMatchesFullScan(t *testing.T) {
-	for i, in := range scanInstances() {
-		r := rng.New(uint64(i) + 950)
-		st := NewState(in, NewRandom(in, r))
-		ref := NewState(in, st.Schedule())
-		for step := 0; step < 60; step++ {
-			crit := st.MakespanMachine()
-			ids := st.PartnerSampleBuf(in.Jobs)
-			for m := 0; m < in.Machs; m++ {
-				if m != crit {
-					ids = append(ids, st.JobsOn(m)...)
-				}
-			}
-			scan := st.BeginSwapScanIDs(crit, ids)
-			full := ref.BeginSwapScan(crit)
-			for _, a := range st.JobsOn(crit) {
-				gv, gb := scan.BestPartner(int(a))
-				wv, wb := full.BestPartner(int(a))
-				if gv != wv || gb != wb {
-					t.Fatalf("instance %d step %d job %d: ids scan (%x,%d) != full (%x,%d)",
-						i, step, a, gv, gb, wv, wb)
-				}
-			}
-			j, to := r.Intn(in.Jobs), r.Intn(in.Machs)
-			st.Move(j, to)
-			ref.Move(j, to)
 		}
 	}
 }

@@ -62,9 +62,9 @@ type State struct {
 	dirtyIDs  []int32
 	dirtyMark []bool
 
-	// Output buffers of the batched sweep kernels (sweep.go), owned by
-	// the state so the stateless search methods stay allocation-free;
-	// sweepA/sweepB also hold the critical-swap scan's staircase
+	// Scratch owned by the state so the stateless search methods stay
+	// allocation-free: sweepFit is the move sweep's output (sweep.go);
+	// sweepA/sweepB hold the critical-swap scan's staircase
 	// (scancache.go), so they grow to the longest machine list.
 	// Pure scratch: lazily grown, never read across calls, not part of
 	// the state's value (Clone starts them empty, CopyFrom leaves them
@@ -72,7 +72,6 @@ type State struct {
 	sweepFit []float64
 	sweepA   []float64
 	sweepB   []float64
-	swapScan SwapScan
 
 	// Scratch of SetScheduleDiff: changed job ids, changed machine ids and
 	// the per-machine membership mark. Pure scratch like the sweep buffers
@@ -85,9 +84,8 @@ type State struct {
 	// sweep (SetScanExempt). Nil when no machine is exempt.
 	scanExempt []bool
 
-	// sampleIDs backs the batched sampled-partner draws of
-	// SampledLMCTSBatch (localsearch): partner ids drawn upfront, sorted
-	// machine-grouped, scanned through BeginSwapScanIDs.
+	// sampleIDs backs the partner pool of SampledLMCTSBatch
+	// (localsearch), drawn upfront once per step.
 	sampleIDs []int32
 
 	// Region backing of the per-machine lists: machJobs/machCumC/machCumF
@@ -763,8 +761,6 @@ func (st *State) MemStats() MemStats {
 	ms.ScratchBytes = (cap(st.sweepFit)+cap(st.sweepA)+cap(st.sweepB))*8 +
 		(cap(st.diffJobs)+cap(st.diffMachs))*4 + cap(st.diffMark) +
 		cap(st.scanExempt) + cap(st.sampleIDs)*4 +
-		(cap(st.swapScan.u)+cap(st.swapScan.v))*8 +
-		(cap(st.swapScan.ids)+cap(st.swapScan.segM)+cap(st.swapScan.off))*4 +
 		cap(st.scanCache.entryEpoch)*8 + cap(st.scanCache.entryVal)*8 +
 		(cap(st.scanCache.entryAPos)+cap(st.scanCache.entryB))*4
 	ms.TotalBytes = ms.AssignBytes + ms.ListBytes + ms.PrefixBytes +

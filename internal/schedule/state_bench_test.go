@@ -77,48 +77,11 @@ func BenchmarkFitnessAfterMoveSweep(b *testing.B) {
 	st, r := benchState(b, 512, 16)
 	in := st.Instance()
 	o := DefaultObjective
-	st.FitnessAfterMoveSweep(o, 0, nil) // warm the state-owned buffer
+	st.FitnessAfterMoveSweep(o, 0) // warm the state-owned buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.FitnessAfterMoveSweep(o, r.Intn(in.Jobs), nil)
-	}
-}
-
-// BenchmarkCompletionAfterSwapSweep measures the per-machine batched
-// swap kernel: the post-swap completion pairs of one job against every
-// job of a partner machine. Must report 0 allocs/op (enforced in CI).
-func BenchmarkCompletionAfterSwapSweep(b *testing.B) {
-	st, r := benchState(b, 512, 16)
-	in := st.Instance()
-	st.CompletionAfterSwapSweep(0, (st.Assign(0)+1)%in.Machs, nil, nil) // warm-up
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := r.Intn(in.Jobs)
-		m := r.Intn(in.Machs)
-		if m == st.Assign(a) {
-			continue
-		}
-		st.CompletionAfterSwapSweep(a, m, nil, nil)
-	}
-}
-
-// BenchmarkSwapScanSweep measures one full critical-machine scan through
-// the step-level swap cache (BeginSwapScan + BestPartner per critical
-// job) — the LMCTS full-neighborhood unit of work. Must report 0
-// allocs/op (enforced in CI).
-func BenchmarkSwapScanSweep(b *testing.B) {
-	st, _ := benchState(b, 512, 16)
-	st.BeginSwapScan(st.MakespanMachine()) // warm the state-owned cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		crit := st.MakespanMachine()
-		scan := st.BeginSwapScan(crit)
-		for _, a := range st.JobsOn(crit) {
-			scan.BestPartner(int(a))
-		}
+		st.FitnessAfterMoveSweep(o, r.Intn(in.Jobs))
 	}
 }
 

@@ -14,14 +14,13 @@ import "math"
 //     are computed once and reused across all M targets, instead of once
 //     per target — the steepest local move (SLM) scans exactly this
 //     neighborhood.
-//   - CompletionAfterSwapSweep emits the post-swap completion pair for
-//     swapping one job against *every* job of a partner machine in a
-//     single scan of that machine's list, hoisting the per-pair removal
-//     terms out of the loop — the LMCTS critical-machine scan is a fold
-//     over these sweeps.
 //   - MoveScan caches the top machine completions of a frozen state so a
 //     batch of unrelated move probes (SA sweeps, tabu candidate scans)
 //     skips the per-probe tournament-tree walks.
+//
+// The LMCTS critical-swap neighborhood is not swept here: its one scan is
+// ScanCache.bestOn's staircase (scancache.go), which borrows the state's
+// sweepA/sweepB buffers.
 //
 // Every sweep inherits the probes' bit-identity contract: each emitted
 // value equals, bit for bit, the scalar probe for the same candidate —
@@ -60,23 +59,18 @@ func (st *State) PartnerSampleBuf(n int) []int32 {
 }
 
 // FitnessAfterMoveSweep computes FitnessAfterMove(o, j, to) for every
-// target machine to in one pass, writing out[to] for to in [0, Machs).
-// out[Assign(j)] is the current fitness (the no-op move). A nil out uses
-// a buffer owned by the state (valid until the next sweep on it); an
-// explicit out must have length >= Machs. The filled prefix is returned.
+// target machine to in one pass and returns them indexed by target;
+// entry Assign(j) is the current fitness (the no-op move). The slice is
+// owned by the state and valid until the next sweep on it.
 //
 // Cost: one removal replay of the source machine plus one tree walk,
 // shared by all targets, and one insertion replay per target — versus the
 // scalar path's per-target removal replay, insertion replay and tree
 // walk. Allocation-free after warm-up.
-func (st *State) FitnessAfterMoveSweep(o Objective, j int, out []float64) []float64 {
+func (st *State) FitnessAfterMoveSweep(o Objective, j int) []float64 {
 	machs := st.inst.Machs
-	if out == nil {
-		st.sweepFit = grown(st.sweepFit, machs)
-		out = st.sweepFit
-	} else {
-		out = out[:machs]
-	}
+	st.sweepFit = grown(st.sweepFit, machs)
+	out := st.sweepFit
 	from := st.assign[j]
 	cur := o.Of(st)
 	fromC, fromFlow := st.completionFlowWithout(from, int32(j))
@@ -108,206 +102,6 @@ func (st *State) FitnessAfterMoveSweep(o Objective, j int, out []float64) []floa
 		out[to] = o.Combine(mk, f/denom)
 	}
 	return out
-}
-
-// CompletionAfterSwapSweep computes CompletionAfterSwap(a, b) for every
-// job b on machine m — the completions machine(a) and machine m would
-// have after exchanging a and b — in one scan of m's job list. aOut[k]
-// and bOut[k] are the pair for the job at slot k of JobsOn(m). Nil output
-// slices use buffers owned by the state (valid until the next swap sweep
-// or critical-swap query on it); explicit slices must have length >= len(JobsOn(m)). The filled
-// prefixes are returned. Requires a not to be on m.
-//
-// The removal terms of both machines are hoisted out of the loop, so each
-// slot costs two ETC loads and two additions — the scalar per-pair call
-// re-derives the hoisted terms every time. Allocation-free after warm-up.
-func (st *State) CompletionAfterSwapSweep(a, m int, aOut, bOut []float64) ([]float64, []float64) {
-	ma := st.assign[a]
-	if ma == m {
-		panic("schedule: CompletionAfterSwapSweep with a on m")
-	}
-	jobs := st.machJobs[m]
-	n := len(jobs)
-	if aOut == nil {
-		st.sweepA = grown(st.sweepA, n)
-		aOut = st.sweepA
-	} else {
-		aOut = aOut[:n]
-	}
-	if bOut == nil {
-		st.sweepB = grown(st.sweepB, n)
-		bOut = st.sweepB
-	} else {
-		bOut = bOut[:n]
-	}
-	machs := st.inst.Machs
-	caBase := st.completion[ma] - st.inst.At(a, ma) // machine(a) minus a, shared by every partner
-	w := st.inst.At(a, m)                           // a's cost on m, shared by every partner
-	cm := st.completion[m]
-	etc := st.inst.ETC
-	if etc == nil {
-		swapSweepFill(st.inst.ETC32, machs, ma, m, caBase, w, cm, jobs, aOut, bOut)
-		return aOut, bOut
-	}
-	for k, b := range jobs {
-		row := int(b) * machs
-		aOut[k] = caBase + etc[row+ma]
-		bOut[k] = (cm - etc[row+m]) + w
-	}
-	return aOut, bOut
-}
-
-// SwapScan is a frozen-state batch for critical-machine swap scans — the
-// LMCTS neighborhood, which pairs every job of the critical machine with
-// every job elsewhere. BeginSwapScan walks the non-critical machines once
-// and caches, machine-grouped, the partner-side invariants of the
-// completion pair CompletionAfterSwap reports: u[k], the partner's cost
-// on the critical machine, and v[k], the partner machine's completion
-// with the partner removed. BestPartner then scans those flat arrays per
-// critical job — no gather loads, two additions and a max per candidate —
-// where the scalar scan re-derived both terms from the ETC matrix for
-// every (critical job, partner) pair. The scan is invalidated by any
-// mutation of the state; begin a fresh one after committing a swap.
-type SwapScan struct {
-	st   *State
-	crit int
-	u    []float64 // ETC[b_k][crit]: partner k's cost on the critical machine
-	v    []float64 // completion[m_k] − ETC[b_k][m_k]: partner k's machine without it
-	ids  []int32   // partner job ids, machine-grouped
-	segM []int32   // machine of each group
-	off  []int32   // group s covers ids[off[s]:off[s+1]]
-}
-
-// BeginSwapScan captures the partner-side swap invariants against the
-// critical machine crit. One pass over every non-critical job;
-// allocation-free after warm-up (the scan is owned by the state).
-func (st *State) BeginSwapScan(crit int) *SwapScan {
-	ss := &st.swapScan
-	ss.st, ss.crit = st, crit
-	machs := st.inst.Machs
-	u, v := ss.u[:0], ss.v[:0]
-	ids := ss.ids[:0]
-	segM, off := ss.segM[:0], ss.off[:0]
-	for m := 0; m < machs; m++ {
-		if m == crit {
-			continue
-		}
-		jobs := st.machJobs[m]
-		if len(jobs) == 0 {
-			continue
-		}
-		segM = append(segM, int32(m))
-		off = append(off, int32(len(ids)))
-		cm := st.completion[m]
-		if etcs := st.inst.ETC; etcs != nil {
-			for _, b := range jobs {
-				row := int(b) * machs
-				u = append(u, etcs[row+crit])
-				v = append(v, cm-etcs[row+m])
-				ids = append(ids, b)
-			}
-		} else {
-			u, v, ids = appendPartnerInvariants(st.inst.ETC32, machs, crit, m, cm, jobs, u, v, ids)
-		}
-	}
-	off = append(off, int32(len(ids)))
-	ss.u, ss.v, ss.ids, ss.segM, ss.off = u, v, ids, segM, off
-	return ss
-}
-
-// BeginSwapScanIDs is BeginSwapScan over an explicit candidate set: it
-// captures the same partner-side swap invariants against the critical
-// machine crit, but only for the given partner jobs. ids must be grouped
-// by machine (all jobs of one machine adjacent, machines in ascending
-// order — a sort by (Assign, id) produces this) and contain no job
-// assigned to crit; duplicates are allowed and harmless under BestPartner's
-// strict fold. One pass over the ids; allocation-free after warm-up (the
-// scan is owned by the state, shared with BeginSwapScan). The batched
-// sampled LMCTS draws its partner ids upfront and scans them through
-// this, machine-grouped, instead of re-deriving both completion terms
-// from the ETC matrix per (critical job, partner) pair.
-func (st *State) BeginSwapScanIDs(crit int, ids []int32) *SwapScan {
-	ss := &st.swapScan
-	ss.st, ss.crit = st, crit
-	machs := st.inst.Machs
-	etcs := st.inst.ETC
-	u, v := ss.u[:0], ss.v[:0]
-	out := ss.ids[:0]
-	segM, off := ss.segM[:0], ss.off[:0]
-	last := -1
-	for _, b := range ids {
-		m := st.assign[b]
-		if m == crit {
-			panic("schedule: BeginSwapScanIDs with partner on crit")
-		}
-		if m != last {
-			segM = append(segM, int32(m))
-			off = append(off, int32(len(out)))
-			last = m
-		}
-		if etcs != nil {
-			row := int(b) * machs
-			u = append(u, etcs[row+crit])
-			v = append(v, st.completion[m]-etcs[row+m])
-		} else {
-			u = append(u, st.inst.At(int(b), crit))
-			v = append(v, st.completion[m]-st.inst.At(int(b), m))
-		}
-		out = append(out, b)
-	}
-	off = append(off, int32(len(out)))
-	ss.u, ss.v, ss.ids, ss.segM, ss.off = u, v, out, segM, off
-	return ss
-}
-
-// BestPartner returns, for critical job a, the minimum over all partner
-// jobs b of max(aC, bC) — the completion pair CompletionAfterSwap(a, b)
-// reports — together with the partner attaining it (-1 when no partner
-// exists). Among exact ties the smallest partner id wins, which
-// reproduces the historical ascending-id scalar scan's strict-< fold bit
-// for bit. Each emitted pair equals the scalar query's values exactly;
-// only the max is folded with a plain comparison, whose sole divergence
-// from math.Max (the sign of a zero when both halves are zeros) cannot
-// affect any comparison downstream.
-func (ss *SwapScan) BestPartner(a int) (float64, int) {
-	st := ss.st
-	machs := st.inst.Machs
-	best, bestB := math.Inf(1), -1
-	u, v, ids := ss.u, ss.v, ss.ids
-	if etcs := st.inst.ETC; etcs != nil {
-		aRow := etcs[a*machs : a*machs+machs]
-		ca := st.completion[ss.crit] - aRow[ss.crit]
-		for s, m := range ss.segM {
-			w := aRow[m]
-			for k := ss.off[s]; k < ss.off[s+1]; k++ {
-				x := ca + u[k]
-				if y := v[k] + w; y > x {
-					x = y
-				}
-				if x < best || (x == best && int(ids[k]) < bestB) {
-					best, bestB = x, int(ids[k])
-				}
-			}
-		}
-		return best, bestB
-	}
-	// Narrow backing: the critical job's row is read once per partner
-	// machine (ca above, w below), so per-segment At dispatch costs
-	// nothing against the flat inner loop.
-	ca := st.completion[ss.crit] - st.inst.At(a, ss.crit)
-	for s, m := range ss.segM {
-		w := st.inst.At(a, int(m))
-		for k := ss.off[s]; k < ss.off[s+1]; k++ {
-			x := ca + u[k]
-			if y := v[k] + w; y > x {
-				x = y
-			}
-			if x < best || (x == best && int(ids[k]) < bestB) {
-				best, bestB = x, int(ids[k])
-			}
-		}
-	}
-	return best, bestB
 }
 
 // MoveScan is a frozen-state batch of move probes: it caches the current

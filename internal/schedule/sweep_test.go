@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"math"
 	"testing"
 
 	"gridcma/internal/etc"
@@ -43,7 +42,7 @@ func TestFitnessAfterMoveSweepDifferential(t *testing.T) {
 			st := NewState(in, NewRandom(in, r))
 			for k := 0; k < 400; k++ {
 				j := r.Intn(in.Jobs)
-				fits := st.FitnessAfterMoveSweep(o, j, nil)
+				fits := st.FitnessAfterMoveSweep(o, j)
 				if len(fits) != in.Machs {
 					t.Fatalf("sweep returned %d targets, want %d", len(fits), in.Machs)
 				}
@@ -55,44 +54,6 @@ func TestFitnessAfterMoveSweepDifferential(t *testing.T) {
 				}
 				// Keep the walk moving so sweeps cover many states.
 				st.Move(j, r.Intn(in.Machs))
-			}
-		}
-	}
-}
-
-// TestCompletionAfterSwapSweepDifferential fuzzes the swap sweep against
-// the scalar pair query on random and tie-heavy instances.
-func TestCompletionAfterSwapSweepDifferential(t *testing.T) {
-	shapes := []struct{ jobs, machs int }{{12, 2}, {16, 3}, {64, 8}, {128, 16}}
-	for _, sh := range shapes {
-		for _, tie := range []bool{false, true} {
-			var in *etc.Instance
-			if tie {
-				in = tieInstance(sh.jobs, sh.machs, uint64(29*sh.jobs+sh.machs))
-			} else {
-				in = diffInstance(sh.jobs, sh.machs, uint64(71*sh.jobs+sh.machs))
-			}
-			r := rng.New(uint64(3*sh.jobs + sh.machs))
-			st := NewState(in, NewRandom(in, r))
-			for k := 0; k < 400; k++ {
-				a := r.Intn(in.Jobs)
-				m := r.Intn(in.Machs)
-				if m == st.Assign(a) {
-					continue
-				}
-				aCs, bCs := st.CompletionAfterSwapSweep(a, m, nil, nil)
-				jobs := st.JobsOn(m)
-				if len(aCs) != len(jobs) || len(bCs) != len(jobs) {
-					t.Fatalf("sweep lengths (%d, %d), machine has %d jobs", len(aCs), len(bCs), len(jobs))
-				}
-				for s, b := range jobs {
-					wantA, wantB := st.CompletionAfterSwap(a, int(b))
-					if aCs[s] != wantA || bCs[s] != wantB {
-						t.Fatalf("%dx%d tie=%v step %d: sweep swap(%d,%d) = (%.17g, %.17g), scalar (%.17g, %.17g)",
-							sh.jobs, sh.machs, tie, k, a, b, aCs[s], bCs[s], wantA, wantB)
-					}
-				}
-				st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
 			}
 		}
 	}
@@ -132,51 +93,8 @@ func TestMoveScanDifferential(t *testing.T) {
 	}
 }
 
-// TestSwapScanDifferential fuzzes the step-level swap cache against the
-// historical ascending-id scalar scan: for random critical jobs,
-// BestPartner must return the exact value and partner the strict-< fold
-// over CompletionAfterSwap in job-id order produced — ties included.
-func TestSwapScanDifferential(t *testing.T) {
-	shapes := []struct{ jobs, machs int }{{12, 2}, {16, 3}, {64, 8}, {128, 16}}
-	for _, sh := range shapes {
-		for _, tie := range []bool{false, true} {
-			var in *etc.Instance
-			if tie {
-				in = tieInstance(sh.jobs, sh.machs, uint64(43*sh.jobs+sh.machs))
-			} else {
-				in = diffInstance(sh.jobs, sh.machs, uint64(83*sh.jobs+sh.machs))
-			}
-			r := rng.New(uint64(11*sh.jobs + sh.machs))
-			st := NewState(in, NewRandom(in, r))
-			for step := 0; step < 200; step++ {
-				crit := st.MakespanMachine()
-				scan := st.BeginSwapScan(crit)
-				critJobs := st.JobsOn(crit)
-				for _, a := range critJobs {
-					gotV, gotB := scan.BestPartner(int(a))
-					wantV, wantB := math.Inf(1), -1
-					for b := 0; b < in.Jobs; b++ {
-						if st.Assign(b) == crit {
-							continue
-						}
-						aC, bC := st.CompletionAfterSwap(int(a), b)
-						if v := math.Max(aC, bC); v < wantV {
-							wantV, wantB = v, b
-						}
-					}
-					if gotB != wantB || (wantB >= 0 && gotV != wantV) {
-						t.Fatalf("%dx%d tie=%v step %d: BestPartner(%d) = (%.17g, %d), scalar scan (%.17g, %d)",
-							sh.jobs, sh.machs, tie, step, a, gotV, gotB, wantV, wantB)
-					}
-				}
-				st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
-			}
-		}
-	}
-}
-
-// TestSweepsDoNotMutate asserts the sweeps and the scan leave the state
-// untouched, exactly like the scalar probes.
+// TestSweepsDoNotMutate asserts the move sweep and the move scan leave
+// the state untouched, exactly like the scalar probes.
 func TestSweepsDoNotMutate(t *testing.T) {
 	in := diffInstance(64, 8, 5)
 	r := rng.New(19)
@@ -184,11 +102,7 @@ func TestSweepsDoNotMutate(t *testing.T) {
 	o := DefaultObjective
 	before := st.Clone()
 	for k := 0; k < 300; k++ {
-		st.FitnessAfterMoveSweep(o, r.Intn(in.Jobs), nil)
-		a := r.Intn(in.Jobs)
-		if m := r.Intn(in.Machs); m != st.Assign(a) {
-			st.CompletionAfterSwapSweep(a, m, nil, nil)
-		}
+		st.FitnessAfterMoveSweep(o, r.Intn(in.Jobs))
 		scan := st.BeginMoveScan(o)
 		scan.FitnessAfterMove(r.Intn(in.Jobs), r.Intn(in.Machs))
 	}
@@ -208,43 +122,16 @@ func TestSweepsAllocationFree(t *testing.T) {
 	st := NewState(in, NewRandom(in, r))
 	o := DefaultObjective
 	j := 3
-	a := 9
-	m := (st.Assign(a) + 1) % in.Machs
-	st.FitnessAfterMoveSweep(o, j, nil) // warm the state-owned buffers
-	st.CompletionAfterSwapSweep(a, m, nil, nil)
+	st.FitnessAfterMoveSweep(o, j) // warm the state-owned buffer
 	if n := testing.AllocsPerRun(200, func() {
-		st.FitnessAfterMoveSweep(o, j, nil)
+		st.FitnessAfterMoveSweep(o, j)
 	}); n != 0 {
 		t.Fatalf("FitnessAfterMoveSweep allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		st.CompletionAfterSwapSweep(a, m, nil, nil)
-	}); n != 0 {
-		t.Fatalf("CompletionAfterSwapSweep allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		scan := st.BeginMoveScan(o)
 		scan.FitnessAfterMove(j, (st.Assign(j)+1)%in.Machs)
 	}); n != 0 {
 		t.Fatalf("MoveScan allocates %v per op", n)
-	}
-}
-
-// TestFitnessAfterMoveSweepExplicitOut checks the caller-buffer variant
-// fills exactly the prefix it reports.
-func TestFitnessAfterMoveSweepExplicitOut(t *testing.T) {
-	in := diffInstance(32, 6, 31)
-	r := rng.New(6)
-	st := NewState(in, NewRandom(in, r))
-	o := DefaultObjective
-	buf := make([]float64, in.Machs+3)
-	got := st.FitnessAfterMoveSweep(o, 1, buf)
-	if len(got) != in.Machs {
-		t.Fatalf("explicit out: len %d, want %d", len(got), in.Machs)
-	}
-	for to := 0; to < in.Machs; to++ {
-		if got[to] != st.FitnessAfterMove(o, 1, to) {
-			t.Fatalf("explicit out diverges at target %d", to)
-		}
 	}
 }

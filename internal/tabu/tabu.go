@@ -139,7 +139,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			// exactly as on the scalar path.
 			for k := 0; k < sweepScans; k++ {
 				j := r.Intn(in.Jobs)
-				fits := cur.FitnessAfterMoveSweep(o, j, nil)
+				fits := cur.FitnessAfterMoveSweep(o, j)
 				from := cur.Assign(j)
 				for to, f := range fits {
 					if to == from {

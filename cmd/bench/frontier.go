@@ -43,9 +43,9 @@ type FrontierRow struct {
 	StateBytes       int     `json:"state_bytes"`
 	StateBytesPerJob float64 `json:"state_bytes_per_job"`
 
-	// Cached scan: steady-state LMCTS iteration on a locally-converged
-	// state — the warm fold of memoized per-machine bests plus the accept
-	// probe, the per-iteration floor of the delta engine.
+	// Cached scan: one LMCTS iteration on a locally-converged state —
+	// the full critical-swap query plus the accept probe of its
+	// non-improving winner.
 	ConvergeSwaps   int     `json:"converge_swaps"`
 	CachedScanNs    float64 `json:"cached_scan_ns_per_iter"`
 	CachedScanIters int     `json:"cached_scan_iters"`
@@ -143,11 +143,10 @@ func frontierRung(spec string, gw, gh, iterations int, seed uint64) FrontierRow 
 	fmt.Printf("  state    %7.1f MB  (%.1f B/job)\n",
 		float64(ms.TotalBytes)/(1<<20), ms.BytesPerJob)
 
-	// Steady-state cached scan: converge the LMCTS neighborhood (bounded —
-	// the committed swaps are themselves the cache's churn warm-up), then
-	// time warm iterations. On a converged state each iteration is one
-	// fold of memoized per-machine bests plus the accept probe of the
-	// non-improving winner: the delta engine's per-iteration floor.
+	// Converged-state scan: converge the LMCTS neighborhood (bounded),
+	// then time iterations. On a converged state each iteration is one
+	// full critical-swap query plus the accept probe of the non-improving
+	// winner.
 	const maxConverge = 20000
 	f0 := o.Of(st)
 	localsearch.LMCTS{}.Improve(st, o, maxConverge, nil)
@@ -166,7 +165,7 @@ func frontierRung(spec string, gw, gh, iterations int, seed uint64) FrontierRow 
 	}
 	row.CachedScanNs = float64(time.Since(start).Nanoseconds()) / float64(scanIters)
 	row.CachedScanIters = scanIters
-	fmt.Printf("  scan     %8.0f ns/iter (steady-state cached scan)\n", row.CachedScanNs)
+	fmt.Printf("  scan     %8.0f ns/iter (converged-state LMCTS step)\n", row.CachedScanNs)
 
 	// End to end: the paper's engine, default (full LMCTS) memetic step,
 	// at the shared iteration budget and seed.

@@ -82,26 +82,20 @@
 // caches the top completions so batches of unrelated probes skip the
 // per-probe tree walks. Every sweep value equals its scalar probe bit for
 // bit.
-// Cached-scan evaluation (State.Scans → ScanCache) is the event-driven
-// delta layer on top: commits stamp their two machines with fresh epochs
-// and log them in a commit-time dirty set (plus the old and new critical
-// machine when the tournament tree's root moves), and the cache memoizes
-// each machine's scan result so a query re-sweeps only the machines that
-// changed and folds the rest from the memo — O(changed) per iteration
-// instead of O(M) machines, bit-identical to a full rescan, collapsing
-// steady-state LMCTS scans by orders of magnitude. A re-scanned machine
-// costs O(|m| + |crit|·log|m|): its partners that no other partner beats
-// on both halves of the completion pair form a staircase independent of
-// the critical job, so each critical job's best partner is one binary
-// search. That cold cost is what LMCTS pays inside the cMA, where every
-// accepted swap changes the critical machine and resets the memo. The local searches
-// (LM, SLM, LMCTS), SA and tabu search score candidates with the hottest
-// applicable mode and commit only accepted steps — their hot loops
-// allocate nothing and run several times faster than the historical
-// apply+revert formulation. Search loops drain the dirty set before
-// handing a state back (State.SyncScans), so pooled states never carry
-// pending invalidation events across runs — CI checks this with the
-// schedule package's dirty audit across every registered algorithm.
+// Cached-scan evaluation (State.Scans → ScanCache) answers the search
+// methods' queries on top: LM's move probes run through a frozen-state
+// context recaptured only when a commit moves the state's epoch, and
+// LMCTS's critical-swap neighborhood is one query over every partner
+// machine. Per machine, the partners that no other partner beats on both
+// halves of the completion pair form a staircase independent of the
+// critical job, so each critical job's best partner there is one binary
+// search, and a critical job whose O(1) lower bound on the machine
+// already exceeds the best pair found so far skips it. The query returns
+// the ascending-id pair scan's exact winner, ties included. The local
+// searches (LM, SLM, LMCTS), SA and tabu search score candidates with the
+// hottest applicable mode and commit only accepted steps — their hot
+// loops allocate nothing and run several times faster than the
+// historical apply+revert formulation.
 //
 // MakespanMachine ties break toward the lowest machine index — a
 // documented contract (LMCTS derives its critical machine from it),
@@ -153,9 +147,7 @@
 // ladder up to 100000×1000 into the committed BENCH_frontier.json, and
 // cmd/gridd -load -cvb streams CVB task bases through the daemon. At
 // the 100k×1k rung a full LMCTS-driven cMA run completes in tens of
-// seconds per ten iterations on one core, with steady-state scans
-// costing microseconds — the cached-scan layer's O(changed) fold grows
-// with machine count, not matrix size.
+// seconds per ten iterations on one core.
 //
 // # Online scheduling
 //
@@ -163,8 +155,8 @@
 // long-running service holding one live schedule.State per grid.
 // Submissions and machine churn arrive as events (internal/eventlog),
 // admissions happen in batch windows, and each window warm-starts the
-// local search from the live state through State.SetScheduleDiff and the
-// event-driven scan cache — O(changed) per window instead of a re-solve.
+// local search from the live state, committing each batch through
+// State.SetScheduleDiff — O(changed) per window instead of a re-solve.
 // The daemon is deterministic by construction (Grid.Apply is a pure
 // function of state and event), journals every event to a write-ahead
 // log, and snapshots restore bit-identically: the same snapshot plus the

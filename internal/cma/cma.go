@@ -229,9 +229,8 @@ func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget,
 
 // RunWithStatesPooled is the cache-aware sibling of
 // RunWithPopulationPooled: instead of rebuilding every cell's State from
-// a schedule (wholesale-invalidating its scan caches), the engine adopts
-// the caller's live States as the mesh — warm prefix sums, tournament
-// trees and ScanCache entries included — and returns the same slice,
+// a schedule, the engine adopts the caller's live States as the mesh —
+// warm prefix sums and tournament trees included — and returns the same slice,
 // still owned by the caller, for the next segment. Everything else is
 // identical to the schedule path: local search improves each individual
 // before the first evaluation, consuming exactly the same RNG draws, so
@@ -394,7 +393,7 @@ func (e *engine) initPopulation(initial []schedule.Schedule) {
 func (e *engine) initCell(i int, initial []schedule.Schedule, base schedule.Schedule, frac float64, r *rng.Source) {
 	if e.adopt != nil {
 		// Cache-aware resume: the caller's live State becomes the cell,
-		// warm caches and all. No construction, no RNG draws — exactly
+		// derived data and all. No construction, no RNG draws — exactly
 		// like the i < len(initial) clone path below.
 		e.pop[i] = e.adopt[i]
 	} else {

@@ -1,10 +1,10 @@
 // Package daemon implements gridd, the online rolling-horizon scheduler:
 // the batch evaluation stack (schedule.State, the speculative probes and
-// the event-driven ScanCache) turned into a long-running service. Jobs
-// stream in and machines join, leave and fail; instead of rescheduling
-// from scratch, every admission window warm-starts local search from the
-// live state, so arrivals and departures dirty only the machines they
-// touch — exactly the O(changed) contract the delta engine revalidates.
+// the ScanCache queries) turned into a long-running service. Jobs stream
+// in and machines join, leave and fail; instead of rescheduling from
+// scratch, every admission window warm-starts local search from the live
+// state, and arrivals and departures refresh only the machines they
+// touch (State.SetScheduleDiff).
 //
 // # State model
 //
@@ -535,14 +535,13 @@ func (g *Grid) applyJoin(e eventlog.Event) error {
 	g.rehashMach(slot)
 	// Rewrite the column for every occupied row. The machine is empty, so
 	// no list order depends on the old column; invalidating the machine
-	// forces cached scans involving it to recompute.
+	// makes every context derived from the state recapture.
 	for s := range g.jobs {
 		if g.jobs[s].state != slotFree {
 			g.inst.Set(s, slot, g.etcOf(g.jobs[s].id, g.jobs[s].base, &g.machs[slot]))
 		}
 	}
 	g.st.InvalidateMachine(slot)
-	g.st.SyncScans()
 	g.counters.Joined++
 	return nil
 }
@@ -591,7 +590,6 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 		g.parkKeys[s] = g.parkSeq
 		g.inst.Set(int(s), p, g.parkVal(g.parkSeq))
 		g.st.Move(int(s), p)
-		g.st.SyncScans()
 		g.st.RefreshFlowtime()
 	} else {
 		// Completed while pending (e.g. orphaned here but finished by the
@@ -612,7 +610,6 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 			g.parkKeys[s] = g.parkSeq
 			g.inst.Set(int(s), p, g.parkVal(g.parkSeq))
 			g.st.Move(int(s), p)
-			g.st.SyncScans()
 			g.st.RefreshFlowtime()
 		}
 	}
@@ -630,8 +627,8 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 // applyAdmit closes the admission window: re-pool jobs stranded on
 // departed machines, place every pending job (greedy MCT on a scratch
 // completion view, lowest-index ties), commit the whole batch through
-// SetScheduleDiff — dirtying only the touched machines — and run the
-// bounded warm-start improvement pass over the live scan cache.
+// SetScheduleDiff — refreshing only the touched machines — and run the
+// bounded warm-start improvement pass on the live state.
 func (g *Grid) applyAdmit() error {
 	defer g.rehashAdmit()
 	g.counters.Admits++
@@ -687,7 +684,6 @@ func (g *Grid) applyAdmit() error {
 			g.jobs[s].state = slotPlaced
 		}
 		g.st.SetScheduleDiff(cand)
-		g.st.SyncScans()
 		// Placed jobs must not be parkable by the search.
 		p := g.park()
 		for _, s := range g.pending {
@@ -711,13 +707,11 @@ func (g *Grid) applyAdmit() error {
 		g.st.InvalidateMachine(m)
 	}
 
-	// Warm-start improvement: the scan cache re-sweeps only the machines
-	// this window dirtied.
+	// Warm-start improvement from the live state.
 	if g.cfg.LSIters > 0 {
 		g.r.Reseed(g.cfg.Seed ^ g.counters.Admits*0x9e3779b97f4a7c15)
 		g.ls.Improve(g.st, g.obj, g.cfg.LSIters, &g.r)
 	}
-	g.st.SyncScans()
 	g.st.RefreshFlowtime()
 	// Report placements as they stand after the improvement pass — the
 	// search may have moved a job off its greedy machine.
@@ -733,9 +727,8 @@ func (g *Grid) applyAdmit() error {
 
 // grow doubles the job capacity: a new instance and state carrying the
 // current assignment, every new slot free and parked. This is the one
-// cold restart in the grid's life (the scan cache re-warms on the next
-// queries); it is deterministic — triggered purely by the event stream —
-// and amortised by the doubling.
+// cold restart in the grid's life; it is deterministic — triggered
+// purely by the event stream — and amortised by the doubling.
 func (g *Grid) grow() {
 	oldCap := len(g.jobs)
 	newCap := oldCap * 2

@@ -205,12 +205,11 @@ func TestGridQualityMatchesCleanExtraction(t *testing.T) {
 	}
 }
 
-// TestGridAdmissionCyclesLeakFree runs the full admission loop under the
-// dirty-set audit gauge: every Apply returns with the event log drained,
-// so the daemon can never hand a stale scan cache to the next query.
+// TestGridAdmissionCyclesLeakFree runs the full admission loop and checks
+// after every Apply that the live state's scan cache answers exactly what
+// a freshly built state answers — fitness and critical-swap query alike —
+// so no stale search context leaks from one event into the next query.
 func TestGridAdmissionCyclesLeakFree(t *testing.T) {
-	schedule.DirtyAuditStart()
-	defer schedule.DirtyAuditStop()
 	g, err := NewGrid(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +220,16 @@ func TestGridAdmissionCyclesLeakFree(t *testing.T) {
 		if err := g.Apply(e); err != nil {
 			t.Fatalf("event %d (%+v): %v", i, e, err)
 		}
-		if n := schedule.DirtyAuditPending(); n != 0 {
-			t.Fatalf("event %d (%s): %d dirty marks leaked past Apply", i, e.Type, n)
+		clean := schedule.NewState(g.inst, g.st.Schedule())
+		clean.SetScanExempt(g.park(), true)
+		live, fresh := g.st.Scans(g.obj), clean.Scans(g.obj)
+		if got, want := live.Fitness(), fresh.Fitness(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("event %d (%s): live fitness %v, fresh %v", i, e.Type, got, want)
+		}
+		gv, ga, gb := live.BestCriticalSwap()
+		wv, wa, wb := fresh.BestCriticalSwap()
+		if math.Float64bits(gv) != math.Float64bits(wv) || ga != wa || gb != wb {
+			t.Fatalf("event %d (%s): live query (%v,%d,%d), fresh (%v,%d,%d)", i, e.Type, gv, ga, gb, wv, wa, wb)
 		}
 	}
 }

@@ -63,7 +63,6 @@ func (g *Grid) ColdResolve() (ColdCheck, bool) {
 	} else {
 		iters = 0
 	}
-	st.SyncScans()
 	wall := time.Since(t0)
 	wmk, wfl := g.Quality()
 	return ColdCheck{

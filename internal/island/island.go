@@ -112,8 +112,8 @@ func (s *Scheduler) RunPooled(in *etc.Instance, budget run.Budget, seed uint64, 
 	n := s.cfg.Islands
 	// Live per-island meshes, kept across segments (cache-aware resume:
 	// cma adopts the States wholesale instead of rebuilding from
-	// schedules, so prefix sums, tournament trees and scan caches stay
-	// warm through migration). nil until the first segment builds them.
+	// schedules, so prefix sums and tournament trees stay warm through
+	// migration). nil until the first segment builds them.
 	states := make([][]*schedule.State, n)
 	results := make([]run.Result, n)
 
@@ -262,10 +262,9 @@ func (s *Scheduler) migrate(in *etc.Instance, pops [][]schedule.Schedule) {
 	ApplyMigration(pops, PlanMigration(fits, s.cfg.Migrants, nil))
 }
 
-// migrateStates is the cache-aware exchange over live States: migrants
-// are applied through SetScheduleDiff, dirtying only the machines whose
-// job sets actually changed, so the destination island's next local
-// search warm-starts instead of re-scanning every machine.
+// migrateStates is the exchange over live States: migrants are applied
+// through SetScheduleDiff, which refreshes only the machines whose job
+// sets actually changed instead of rebuilding the whole state.
 //
 // Fitness ranking must be bit-identical to migrate's fresh
 // Objective.Evaluate: per-machine completions already are (incremental
@@ -293,11 +292,5 @@ func (s *Scheduler) migrateStates(states [][]*schedule.State) {
 	for k, mv := range moves {
 		st := states[mv.Dst][mv.DstIdx]
 		st.SetScheduleDiff(migs[k])
-		// Acknowledge the diff's commit events before handing the state
-		// onward: validity is carried by the machine epochs (the next
-		// segment's scans revalidate exactly the machines the migrant
-		// touched), and the audited drain discipline requires no state to
-		// leave a run with marks pending.
-		st.SyncScans()
 	}
 }

@@ -204,7 +204,7 @@ func BenchmarkIslandRunWholesale(b *testing.B) {
 	}
 }
 
-// BenchmarkIslandRunDiff is the cache-aware path: live States adopted
+// BenchmarkIslandRunDiff is the diff-based path: live States adopted
 // across segments, migrants applied through SetScheduleDiff.
 func BenchmarkIslandRunDiff(b *testing.B) {
 	in := benchInstance(b)
@@ -220,8 +220,8 @@ func BenchmarkIslandRunDiff(b *testing.B) {
 }
 
 // BenchmarkMigrantApply is the alloc-guarded migrant-application hot
-// path: diffing an incoming migrant into a live State and acknowledging
-// the commit events. Must stay allocation-free — CI runs it under the
+// path: diffing an incoming migrant into a live State. Must stay
+// allocation-free — CI runs it under the
 // same guard as the probe/sweep kernels.
 func BenchmarkMigrantApply(b *testing.B) {
 	in := benchInstance(b)
@@ -233,7 +233,6 @@ func BenchmarkMigrantApply(b *testing.B) {
 	// Warm the one-off diff buffers so the steady-state loop is measured.
 	st.SetScheduleDiff(mig)
 	st.SetScheduleDiff(orig)
-	st.SyncScans()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -242,6 +241,5 @@ func BenchmarkMigrantApply(b *testing.B) {
 		} else {
 			st.SetScheduleDiff(orig)
 		}
-		st.SyncScans()
 	}
 }

@@ -18,24 +18,18 @@
 // equals the state's next fitness bit for bit), so the accept baseline
 // costs nothing per candidate.
 //
-// LMCTS's full critical scan runs through the state's scan cache
-// (schedule.ScanCache), which scans each partner machine with a
-// staircase: the machine's partners that no other partner beats on both
-// halves of the completion pair form a staircase that does not depend on
-// the critical job, so each critical job's best partner there is one
-// binary search. A query costs O(J + |crit|·M·log) instead of the pair
-// loop's O(|crit|·J), and returns the pair loop's exact winner — value,
-// critical job and partner, ties included. The per-machine results are
-// memoized against machine epochs, but an accepted swap always changes
-// the critical machine and so resets every entry: within one LMCTS call
-// each query is a full staircase scan, and the memo pays off only across
-// calls on an unchanged critical machine. LM's probes run through the
-// cache's frozen-state context, revalidated only when a commit moves the
-// state's epoch. Both are bit-identical to the full rescan, so
-// trajectories (and the golden matrix) are unchanged.
-// Every Improve drains the state's commit event log before returning
-// (State.SyncScans), so a state never carries pending invalidations back
-// to a pool.
+// LMCTS's full critical scan is one query over every partner machine
+// (schedule.ScanCache.BestCriticalSwap). Per machine, the partners that
+// no other partner beats on both halves of the completion pair form a
+// staircase that does not depend on the critical job, so each critical
+// job's best partner there is one binary search, and a critical job whose
+// O(1) lower bound on the machine already exceeds the best pair found so
+// far is skipped without one. A query costs at most O(J + |crit|·M·log)
+// instead of the pair loop's O(|crit|·J), and returns the pair loop's
+// exact winner — value, critical job and partner, ties included. LM's
+// probes run through the cache's frozen-state context, recaptured only
+// when a commit moves the state's epoch. Both are bit-identical to the
+// scalar scans, so trajectories (and the golden matrix) are unchanged.
 package localsearch
 
 import (
@@ -116,7 +110,6 @@ func (LM) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng.So
 			cur = f
 		}
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -140,7 +133,6 @@ func (SLM) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng.S
 			st.Move(j, to)
 		}
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -151,11 +143,10 @@ func (SLM) Name() string { return "SLM" }
 // reduces completion time. The candidate set pairs every job on the
 // current critical (makespan) machine with every job on the other
 // machines; the swap minimising the larger of the two new completion times
-// is applied when it improves the fitness. The scan runs over the
-// state's ScanCache: per-machine bests come from the staircase scan,
-// memoized while a machine and the critical machine are unchanged, and
-// the fold of the bests picks the exact swap the historical full scan
-// picked.
+// is applied when it improves the fitness. Each step is one pruned
+// staircase query over every partner machine
+// (schedule.ScanCache.BestCriticalSwap), which picks the exact swap the
+// ascending-id pair scan picks.
 type LMCTS struct{}
 
 // Improve implements Method.
@@ -169,7 +160,6 @@ func (LMCTS) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng
 		}
 		cur = f
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -197,7 +187,6 @@ func (s SampledLMCTS) Improve(st *schedule.State, o schedule.Objective, iters in
 		}
 		cur = f
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -231,7 +220,6 @@ func (s SampledLMCTSBatch) Improve(st *schedule.State, o schedule.Objective, ite
 		}
 		cur = f
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -294,9 +282,8 @@ func tryCommitSwap(st *schedule.State, o schedule.Objective, cur float64, a, b i
 }
 
 // cachedCriticalSwap performs one steepest swap step of the full LMCTS
-// neighborhood through the state's event-driven scan cache: the memoized
-// per-machine bests answer the scan in O(changed) re-scanned machines
-// plus an O(M) fold, and the winner — value and (a, b) pair — is the
+// neighborhood through the state's scan cache: one pruned query over
+// every partner machine, whose winner — value and (a, b) pair — is the
 // exact swap a flat scan of every (critical job, partner) pair finds.
 // The accept logic is unchanged: the swap must reduce the critical
 // completion pair strictly, and the scalarised fitness must improve

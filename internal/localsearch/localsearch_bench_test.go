@@ -103,7 +103,7 @@ func BenchmarkLMCTSProbe(b *testing.B) {
 }
 
 // benchStateShape builds a random evaluated state of an explicit shape —
-// the 2048×64 rung of the cached-scan headline benchmarks.
+// the 2048×64 rung of the critical-swap query benchmarks.
 func benchStateShape(b *testing.B, jobs, machs int) *schedule.State {
 	b.Helper()
 	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
@@ -111,19 +111,19 @@ func benchStateShape(b *testing.B, jobs, machs int) *schedule.State {
 	return schedule.NewState(in, schedule.NewRandom(in, rng.New(7)))
 }
 
-// converge drives the state to an LMCTS local optimum, the steady state
-// the cached-scan benchmarks measure: every subsequent Improve call is
-// one full neighborhood scan that finds nothing (and commits nothing),
-// which is exactly where the event-driven cache collapses the scan to a
-// fold of memoized per-machine bests.
+// converge drives the state to an LMCTS local optimum, the state the
+// critical-swap query benchmarks measure: every subsequent Improve call
+// is one full query whose winner fails the accept gate, so nothing
+// commits and every iteration times the same query.
 func converge(st *schedule.State, o schedule.Objective) {
 	LMCTS{}.Improve(st, o, 1<<30, nil)
 }
 
-// BenchmarkLMCTSCachedScan measures the shipped LMCTS through the
-// event-driven scan cache on a converged 512×16 state; the uncached
-// reference is BenchmarkLMCTSScalarProbe. Must report 0 allocs/op — CI
-// runs every CachedScan benchmark with -benchtime=1x and fails otherwise.
+// BenchmarkLMCTSCachedScan measures one shipped LMCTS step on a
+// converged 512×16 state: the pruned critical-swap query plus the accept
+// probe of its non-improving winner. The scalar pair scan it replaces is
+// BenchmarkLMCTSScalarProbe. Must report 0 allocs/op — CI runs every
+// CachedScan benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkLMCTSCachedScan(b *testing.B) {
 	st, _ := benchState(b)
 	o := schedule.DefaultObjective
@@ -135,9 +135,9 @@ func BenchmarkLMCTSCachedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkLMCTSCachedScanLarge is the delta engine at 2048×64, at 0
-// allocs/op: the warm query folds 64 cached machine bests instead of
-// re-scanning the ~65k pairs of the full neighborhood.
+// BenchmarkLMCTSCachedScanLarge is the same step at 2048×64, at 0
+// allocs/op: the query covers the ~65k pairs of the full neighborhood
+// with one staircase per machine and a search per unpruned critical job.
 func BenchmarkLMCTSCachedScanLarge(b *testing.B) {
 	st := benchStateShape(b, 2048, 64)
 	o := schedule.DefaultObjective
@@ -163,9 +163,9 @@ func BenchmarkSampledLMCTSBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkLMCTSScalarProbe is the uncached full scan (every partner job
-// through the scalar pair query), kept as the reference the cached scan
-// is measured against.
+// BenchmarkLMCTSScalarProbe is the pair-loop full scan (every partner job
+// through the scalar pair query), kept as the reference the staircase
+// query is measured against.
 func BenchmarkLMCTSScalarProbe(b *testing.B) {
 	st, _ := benchState(b)
 	o := schedule.DefaultObjective

@@ -158,8 +158,8 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 // (ETC, id) comparison against it — the same two-term predicate less
 // evaluates, over the same loaded values, so the splice point and every
 // emitted float are bit-identical to the accessor-based replay. This is
-// the hottest replay in the engine (every cached-scan iteration probes
-// its candidate swap through it), which is why it gets the hand-tuned
+// the hottest replay in the engine (every LMCTS step probes its
+// candidate swap through it), which is why it gets the hand-tuned
 // path rather than leaning on At.
 func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow float64) {
 	jobs := st.machJobs[m]

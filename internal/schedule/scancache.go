@@ -1,92 +1,55 @@
 package schedule
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
-// Event-driven scan caching: the delta layer over the batched sweep
-// kernels (sweep.go). The sweeps made each neighborhood scan optimal *per
-// candidate*; iteration cost was still O(M) machines re-swept per step,
-// even though a committed Move or Swap changes exactly two machines and
-// leaves every other machine's cached scan result bit-for-bit valid.
+// ScanCache answers the search methods' neighborhood queries against one
+// State. It has two sides.
 //
-// ScanCache turns that observation into an invalidation protocol. The
-// state stamps every machine with the epoch of its last content change
-// (state.go: machEpoch, advanced by the noteCommit hook); the cache
-// memoizes, per machine, the result of scanning that machine — currently
-// the machine's best critical-swap partner entry — together with the
-// epoch it was computed at. A query then re-sweeps only the machines
-// whose epoch moved and folds the memoized per-machine bests, anchored on
-// the max-tree's root (the critical machine): per-iteration scan work
-// drops from O(M) machines to O(changed), and to a plain O(M) fold of
-// cached scalars once the cache is warm.
+// The move side memoizes the frozen-state probe context of
+// BeginMoveScan, keyed on the state's epoch (advanced by every commit):
+// between two commits every move probe and every accept baseline is
+// served from it without re-reading the state or re-walking the
+// tournament tree. Move neighborhoods scored by the scalarised fitness do
+// not factorize per machine — a candidate's fitness folds the flowtime
+// and completions of every machine — so the global epoch is the right key.
 //
-// Exactness. Every memoized entry is the lexicographic minimum of
-// (value, aPos, b) over the machine's (critical job, partner) pairs,
-// computed by a staircase scan that returns what the brute-force pair
-// loop returns, bit for bit (see bestOn for the dominance argument), and
-// an entry is reused only while both its machine's epoch and the
-// critical machine's (identity, epoch) pair are unchanged — the inputs
-// of every float in the entry. The per-machine/fold decomposition
-// reproduces the historical ascending-id scan's winner exactly, so a
-// cached query equals a full rescan bit for bit; scancache_test.go pins
-// the staircase against the pair loop (tie-heavy and gridd-shaped
-// instances, both matrix backings, plus a fuzz target) and the cache
-// against the full ascending-id pair scan across thousands of random
-// commit/invalidate sequences.
+// The swap side is one pruned query over every partner machine,
+// BestCriticalSwap: the LMCTS neighborhood pairs each job on the critical
+// machine with each job elsewhere and asks for the minimal
+// max(aC, bC) completion pair. Nothing is memoized across queries: an
+// accepted swap always takes a job off the critical machine and every
+// cMA offspring starts from a fresh SetSchedule, so a per-machine result
+// would not be reused.
 //
-// The memo pays off between queries on an unchanged critical machine —
-// repeated queries at a local optimum, and the daemon's diff-applied
-// schedules. Within one LMCTS call it never hits: an accepted swap always
-// takes a job off the critical machine, which bumps that machine's epoch
-// and resets every entry, so each step re-scans every partner machine.
-// That cold scan is why bestOn's cost per machine matters.
-//
-// The critical-swap scan is the memoizable neighborhood because it
-// factorizes: with the critical machine fixed, each partner machine's
-// contribution depends only on that machine's own contents (and the
-// shared critical context). Move neighborhoods scored by the scalarised
-// fitness do not factorize per machine — a candidate's fitness folds the
-// flowtime and completions of *every* machine, so any commit anywhere
-// invalidates a memoized per-machine "best move" — which is why the move
-// side of the cache memoizes the frozen-state probe context (MoveScan)
-// keyed on the global epoch instead of per-machine bests.
+// Per partner machine the query builds a staircase of the machine's
+// non-dominated partners (see criticalSwap), then for each critical job
+// takes an O(1) lower bound on the job's best pair there and skips the
+// job's binary search when the bound already exceeds the best value
+// found so far across all machines. Only a machine that improves or ties
+// the running best (value, critical position) is rescanned for its
+// smallest partner id. The result is the lexicographic minimum of
+// (value, critical job's SPT position, partner id) over all pairs — the
+// winner of the ascending-id pair scan, bit for bit. scancache_test.go
+// pins the query against that scan on both matrix backings, with
+// tie-heavy, gridd-shaped and exempt-machine instances and a fuzz target.
 type ScanCache struct {
 	st *State
 	o  Objective
 
-	// Move side: the frozen-state probe context of BeginMoveScan,
-	// revalidated only when the global epoch moves — between commits,
-	// every probe and every accept baseline is served from it without
-	// re-reading the state or re-walking the tournament tree.
 	move      MoveScan
 	moveEpoch uint64 // epoch the context was captured at; 0 = never
 
-	// Swap side: per-partner-machine memo of the critical-swap scan,
-	// valid against (swapCrit, swapCritEpoch).
-	swapCrit      int    // critical machine the entries were computed against
-	swapCritEpoch uint64 // its machine epoch at computation; 0 = never
-	entryEpoch    []uint64
-	entryVal      []float64 // best max(aC, bC) over (a ∈ crit, b ∈ m)
-	entryAPos     []int32   // winning critical job's position in SPT order
-	entryB        []int32   // winning partner id; -1 = machine empty
+	// searches counts the staircase binary searches BestCriticalSwap
+	// ran; white-box tests read it to pin the pruning.
+	searches uint64
 }
 
-// Scans returns the state's scan cache bound to objective o, sizing its
-// memo arrays on first use (the only allocation; every query afterwards
-// is allocation-free). Changing the objective invalidates the move-side
-// context; the swap-side entries are completion-based and survive.
+// Scans returns the state's scan cache bound to objective o. Changing
+// the objective invalidates the move-side context. Allocation-free.
 func (st *State) Scans(o Objective) *ScanCache {
 	sc := &st.scanCache
 	if sc.st == nil {
 		sc.st = st
-		sc.swapCrit = -1
-		machs := st.inst.Machs
-		sc.entryEpoch = make([]uint64, machs)
-		sc.entryVal = make([]float64, machs)
-		sc.entryAPos = make([]int32, machs)
-		sc.entryB = make([]int32, machs)
 		sc.o = o
 	} else if sc.o != o {
 		sc.o = o
@@ -94,11 +57,6 @@ func (st *State) Scans(o Objective) *ScanCache {
 	}
 	return sc
 }
-
-// sync acknowledges all pending commit events: the cache's validity is
-// carried by the epoch stamps it compares on every entry, so observing a
-// query boundary is all the drain has to do.
-func (sc *ScanCache) sync() { sc.st.drainDirty() }
 
 // freshenMove recaptures the frozen-state probe context iff the state
 // changed since the last capture.
@@ -113,7 +71,6 @@ func (sc *ScanCache) freshenMove() {
 // objective — bit-identical to Objective.Of, served from the cached probe
 // context between commits.
 func (sc *ScanCache) Fitness() float64 {
-	sc.sync()
 	sc.freshenMove()
 	return sc.move.cur
 }
@@ -122,7 +79,6 @@ func (sc *ScanCache) Fitness() float64 {
 // context: bit-identical, with the tournament-tree walk memoized across
 // every probe between two commits (the LM and SA/tabu candidate loops).
 func (sc *ScanCache) FitnessAfterMove(j, to int) float64 {
-	sc.sync()
 	sc.freshenMove()
 	return sc.move.FitnessAfterMove(j, to)
 }
@@ -134,7 +90,6 @@ func (sc *ScanCache) FitnessAfterMove(j, to int) float64 {
 // target wins), and the job's own machine is returned when no target
 // improves — exactly the SLM inner loop, bit for bit.
 func (sc *ScanCache) BestMoveTarget(j int) (float64, int) {
-	sc.sync()
 	st := sc.st
 	fits := st.FitnessAfterMoveSweep(sc.o, j)
 	from := st.assign[j]
@@ -151,16 +106,10 @@ func (sc *ScanCache) BestMoveTarget(j int) (float64, int) {
 // machine and the rest — the LMCTS full-scan neighborhood — as the
 // minimal max(aC, bC) completion pair with its jobs (a on the critical
 // machine, b elsewhere; b = -1 when no partner exists). The winner is the
-// historical ascending-scan one: strict-< across critical jobs in SPT
-// order, smallest partner id within a critical job.
-//
-// Event-driven: per-machine bests are memoized and only machines whose
-// epoch moved since their entry was computed are re-swept; a change of
-// the critical machine's identity or contents invalidates every entry
-// (each one is computed against the critical context). Steady state — no
-// commits since the last query — costs one O(M) fold of cached scalars.
+// ascending-scan one: strict-< across critical jobs in SPT order,
+// smallest partner id within a critical job. Exempt machines
+// (SetScanExempt) take part on neither side.
 func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
-	sc.sync()
 	st := sc.st
 	crit := st.MakespanMachine()
 	if st.scanExempt != nil && st.scanExempt[crit] {
@@ -173,49 +122,36 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 	if len(critJobs) == 0 {
 		return math.Inf(1), -1, -1
 	}
-	if crit != sc.swapCrit || st.machEpoch[crit] != sc.swapCritEpoch {
-		for m := range sc.entryEpoch {
-			sc.entryEpoch[m] = 0
-		}
-		sc.swapCrit, sc.swapCritEpoch = crit, st.machEpoch[crit]
+	var v float64
+	var apos, b int32
+	if st.etc64 == nil {
+		// Narrow frontier backing: same query, stenciled over float32
+		// (kernels.go). The float64 path stays hand-written — this scan
+		// is the hottest loop in the engine, and routing it through the
+		// generic instantiation cost about 6% of paper-braun's end-to-end
+		// CPU time.
+		v, apos, b = criticalSwapKernel(sc, st.inst.ETC32, crit, critJobs)
+	} else {
+		v, apos, b = sc.criticalSwap(crit, critJobs)
 	}
-	bestVal := math.Inf(1)
-	bestAPos, bestB := int32(-1), int32(-1)
-	for m := range sc.entryEpoch {
-		if m == crit || (st.scanExempt != nil && st.scanExempt[m]) {
-			continue
-		}
-		if sc.entryEpoch[m] != st.machEpoch[m] {
-			sc.entryVal[m], sc.entryAPos[m], sc.entryB[m] = st.bestOn(m, crit, critJobs)
-			sc.entryEpoch[m] = st.machEpoch[m]
-		}
-		if sc.entryB[m] < 0 {
-			continue
-		}
-		v, apos, b := sc.entryVal[m], sc.entryAPos[m], sc.entryB[m]
-		if v < bestVal ||
-			(v == bestVal && (apos < bestAPos || (apos == bestAPos && b < bestB))) {
-			bestVal, bestAPos, bestB = v, apos, b
-		}
-	}
-	if bestB < 0 {
+	if b < 0 {
 		return math.Inf(1), -1, -1
 	}
-	return bestVal, int(critJobs[bestAPos]), int(bestB)
+	return v, int(critJobs[apos]), int(b)
 }
 
-// bestOn computes partner machine m's memo entry: the minimum over
-// critical jobs a and jobs b on m of max(aC, bC) — the completion pair
-// CompletionAfterSwap(a, b) reports — with the winning critical job's SPT
-// position and partner id, as the lexicographic minimum of
-// (value, aPos, b). It returns what the brute-force pair loop over every
-// (a, b) returns, bit for bit, in O(|m| + |crit|·log|m|) instead of
-// O(|crit|·|m|).
+// criticalSwap is BestCriticalSwap's query over the float64 backing:
+// the lexicographic minimum of (value, aPos, b) over every critical job
+// a (at SPT position aPos) and every job b on a non-exempt partner
+// machine m, where value is max(aC, bC), the completion pair
+// CompletionAfterSwap(a, b) reports. It returns what the brute-force
+// pair loop returns, bit for bit, in O(J + |crit|·M·log) instead of
+// O(|crit|·J), less where the bound below prunes.
 //
 // The staircase. With a fixed, partner b's pair is
 //
-//	x_b = (critC − ETC[a][crit]) + u_b,  u_b = ETC[b][crit]
-//	y_b = (cm − v_b) + ETC[a][m],        v_b = ETC[b][m]
+//	x_b = ca + u_b,              ca = critC − ETC[a][crit], u_b = ETC[b][crit]
+//	y_b = (cm − v_b) + w,        v_b = ETC[b][m],           w = ETC[a][m]
 //
 // and rounding is monotone, so x_b never decreases as u_b grows and y_b
 // never increases as v_b grows: a partner with u no smaller and v no
@@ -226,129 +162,120 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 // staircase x is non-increasing and y non-decreasing, so for each a the
 // minimum is min(x_{k−1}, y_k) at the first step k with y_k ≥ x_k, found
 // by binary search. Steps tied on v may both be kept; the two orders
-// still hold.
+// still hold. ca does not depend on m, so it is computed once per query.
 //
-// Ties. The per-a minima are folded strictly in SPT order, so the first
-// critical job reaching the minimum value wins, exactly as in the pair
-// loop. The partner is then picked by one rescan of that job's row over
-// all of m's jobs with the pair loop's arithmetic and smallest-id
-// tie-break, so ties on dominated partners resolve as before. Folding the
-// per-machine entries by the same lexicographic order (BestCriticalSwap)
-// yields the global (value, aPos, b) minimum — the winner of the flat
-// ascending-id scan, because no machine holds a pair lexicographically
-// below its own entry.
+// The bound. The last step holds the machine's smallest u and the first
+// step the largest v, so by the same monotonicity every pair of a on m
+// is at least lb = max(ca + u_min, (cm − v_max) + w). A critical job
+// whose lb exceeds the best value found so far — over earlier machines
+// and earlier critical jobs of this one — cannot reach it and is skipped
+// without a search. A bound equal to the best is searched, since a tie
+// may still win on position or partner id.
+//
+// Ties. Per machine, the per-a minima fold strictly in SPT order, so the
+// machine's first critical job reaching its minimum wins, as in the pair
+// loop. Only when that (value, aPos) improves or ties the running best
+// is the job's row rescanned over all of m's jobs with the pair loop's
+// arithmetic and smallest-id tie-break; the running best then takes the
+// lexicographically smaller of the two triples, so a tie across machines
+// goes to the smaller partner id.
 //
 // The staircase lives in the state's sweep buffers, grown to the longest
-// partner list seen, never to the job count.
-func (st *State) bestOn(m, crit int, critJobs []int32) (float64, int32, int32) {
-	jobs := st.machJobs[m]
-	if len(jobs) == 0 {
-		return math.Inf(1), -1, -1
-	}
-	st.sweepA = grown(st.sweepA, len(jobs))
-	st.sweepB = grown(st.sweepB, len(jobs))
+// partner list seen, never to the job count; the critical context in a
+// buffer grown to the longest critical list.
+func (sc *ScanCache) criticalSwap(crit int, critJobs []int32) (float64, int32, int32) {
+	st := sc.st
+	etcs := st.etc64
 	machs := st.inst.Machs
-	cm := st.completion[m]
 	critC := st.completion[crit]
-	etcs := st.inst.ETC
-	if etcs == nil {
-		// Narrow frontier backing: same scan, stenciled over float32
-		// (kernels.go). The float64 path below stays hand-written — this
-		// scan is the hottest loop in the engine, and routing it through
-		// the generic instantiation cost about 6% of paper-braun's
-		// end-to-end CPU time.
-		return bestOnKernel(st.inst.ETC32, machs, critC, cm, critJobs, jobs, crit, m, st.sweepA, st.sweepB)
-	}
-	// su[k] = u and sc[k] = cm − v of the k-th step, tail first.
-	su, sc := st.sweepA, st.sweepB
-	steps := 0
-	minU := math.Inf(1)
-	for k := len(jobs) - 1; k >= 0; k-- {
-		row := int(jobs[k]) * machs
-		if u := etcs[row+crit]; u < minU {
-			minU = u
-			su[steps], sc[steps] = u, cm-etcs[row+m]
-			steps++
-		}
+	st.sweepCA = grown(st.sweepCA, len(critJobs))
+	ca := st.sweepCA
+	for apos, a := range critJobs {
+		ca[apos] = critC - etcs[int(a)*machs+crit]
 	}
 	best := math.Inf(1)
-	bestAPos := int32(-1)
-	for apos, a := range critJobs {
-		aRow := etcs[int(a)*machs : int(a)*machs+machs]
-		ca := critC - aRow[crit]
-		w := aRow[m]
-		lo, hi := 0, steps
-		for lo < hi {
-			h := int(uint(lo+hi) >> 1)
-			if sc[h]+w >= ca+su[h] {
-				hi = h
-			} else {
-				lo = h + 1
+	bestAPos, bestB := int32(-1), int32(-1)
+	searches := uint64(0)
+	for m, jobs := range st.machJobs {
+		if m == crit || len(jobs) == 0 || (st.scanExempt != nil && st.scanExempt[m]) {
+			continue
+		}
+		if len(jobs) > len(st.sweepA) {
+			st.sweepA = grown(st.sweepA, len(jobs))
+			st.sweepB = grown(st.sweepB, len(jobs))
+		}
+		// su[k] = u and sy[k] = cm − v of the k-th step, tail first.
+		su, sy := st.sweepA, st.sweepB
+		cm := st.completion[m]
+		steps := 0
+		minU := math.Inf(1)
+		for k := len(jobs) - 1; k >= 0; k-- {
+			row := int(jobs[k]) * machs
+			if u := etcs[row+crit]; u < minU {
+				minU = u
+				su[steps], sy[steps] = u, cm-etcs[row+m]
+				steps++
 			}
 		}
-		v := math.Inf(1)
-		if lo < steps {
-			v = sc[lo] + w // y ≥ x: the pair's max is y
-		}
-		if lo > 0 {
-			if x := ca + su[lo-1]; x < v { // y < x: the pair's max is x
-				v = x
+		yMin := sy[0]
+		thr := best
+		mBest, mAPos := math.Inf(1), int32(-1)
+		for apos, a := range critJobs {
+			c := ca[apos]
+			w := etcs[int(a)*machs+m]
+			lb := c + minU
+			if y := yMin + w; y > lb {
+				lb = y
+			}
+			if lb > thr {
+				continue
+			}
+			searches++
+			lo, hi := 0, steps
+			for lo < hi {
+				h := int(uint(lo+hi) >> 1)
+				if sy[h]+w >= c+su[h] {
+					hi = h
+				} else {
+					lo = h + 1
+				}
+			}
+			v := math.Inf(1)
+			if lo < steps {
+				v = sy[lo] + w // y ≥ x: the pair's max is y
+			}
+			if lo > 0 {
+				if x := c + su[lo-1]; x < v { // y < x: the pair's max is x
+					v = x
+				}
+			}
+			if v < mBest {
+				mBest, mAPos = v, int32(apos)
+				if v < thr {
+					thr = v
+				}
 			}
 		}
-		if v < best {
-			best, bestAPos = v, int32(apos)
+		if mAPos < 0 || mBest > best || (mBest == best && mAPos > bestAPos) {
+			continue
+		}
+		c := ca[mAPos]
+		w := etcs[int(critJobs[mAPos])*machs+m]
+		v, b := math.Inf(1), int32(-1)
+		for _, j := range jobs {
+			row := int(j) * machs
+			x := c + etcs[row+crit]
+			if y := (cm - etcs[row+m]) + w; y > x {
+				x = y
+			}
+			if x < v || (x == v && j < b) {
+				v, b = x, j
+			}
+		}
+		if v < best || mAPos < bestAPos || b < bestB {
+			best, bestAPos, bestB = v, mAPos, b
 		}
 	}
-	if bestAPos < 0 {
-		return math.Inf(1), -1, -1
-	}
-	a := critJobs[bestAPos]
-	aRow := etcs[int(a)*machs : int(a)*machs+machs]
-	ca := critC - aRow[crit]
-	w := aRow[m]
-	best = math.Inf(1)
-	bestB := int32(-1)
-	for _, b := range jobs {
-		row := int(b) * machs
-		x := ca + etcs[row+crit]
-		if y := (cm - etcs[row+m]) + w; y > x {
-			x = y
-		}
-		if x < best || (x == best && b < bestB) {
-			best, bestB = x, b
-		}
-	}
+	sc.searches += searches
 	return best, bestAPos, bestB
 }
-
-// dirtyAudit is a test-support gauge of pending dirty marks across every
-// live State: markDirty increments it, drains decrement it, so after a
-// public Run returns it must read exactly what it read before the run —
-// any state that died (or was pooled) carrying pending invalidation
-// events shows up as a positive residue. The audit is off by default and
-// costs one predictable branch per commit; DirtyAuditStart must be called
-// before the audited states exist (tests only), never concurrently with
-// running engines.
-var dirtyAudit struct {
-	on      bool
-	pending atomic.Int64
-}
-
-func dirtyAuditAdd(n int64) {
-	if dirtyAudit.on {
-		dirtyAudit.pending.Add(n)
-	}
-}
-
-// DirtyAuditStart enables the dirty-set leak gauge and zeroes it.
-func DirtyAuditStart() {
-	dirtyAudit.on = true
-	dirtyAudit.pending.Store(0)
-}
-
-// DirtyAuditStop disables the gauge.
-func DirtyAuditStop() { dirtyAudit.on = false }
-
-// DirtyAuditPending reads the gauge: the number of pending dirty marks
-// across all audited states. Zero after every well-behaved Run.
-func DirtyAuditPending() int64 { return dirtyAudit.pending.Load() }

@@ -9,11 +9,11 @@ import (
 	"gridcma/internal/rng"
 )
 
-// Differential fuzz for the event-driven scan cache: across thousands of
-// random commit/invalidate sequences the cached critical-swap query must
-// return, bit for bit, the winner of a from-scratch pair scan — value,
-// critical job and partner id — including on tie-heavy integer instances
-// where the (value, SPT-position, id) tie-break contract actually binds.
+// Differential tests for the scan cache: across thousands of random
+// commit sequences the pruned critical-swap query must return, bit for
+// bit, the winner of a from-scratch pair scan — value, critical job and
+// partner id — including on tie-heavy integer instances where the
+// (value, SPT-position, id) tie-break contract actually binds.
 
 // scanInstances mixes generic random instances with tie-heavy integer
 // ones (tieInstance lives in sweep_test.go) and one float32-backed
@@ -34,53 +34,6 @@ func scanInstances() []*etc.Instance {
 		tieInstance(36, 4, 84),
 		tieInstance(20, 3, 85),
 		narrow,
-	}
-}
-
-// refBestOn is the brute-force pair loop the staircase scan replaced,
-// kept as its reference: every (a, b) pair through the completion-pair
-// arithmetic, strict-< across critical jobs in SPT order, smallest
-// partner id within one. It reads through At, which widens a float32
-// entry exactly as the kernel does, so it serves both backings.
-func refBestOn(st *State, m, crit int) (float64, int32, int32) {
-	in := st.inst
-	cm, critC := st.completion[m], st.completion[crit]
-	best := math.Inf(1)
-	bestAPos, bestB := int32(-1), int32(-1)
-	for apos, a := range st.machJobs[crit] {
-		ca := critC - in.At(int(a), crit)
-		w := in.At(int(a), m)
-		for _, b := range st.machJobs[m] {
-			x := ca + in.At(int(b), crit)
-			if y := (cm - in.At(int(b), m)) + w; y > x {
-				x = y
-			}
-			if x < best || (x == best && int32(apos) == bestAPos && b < bestB) {
-				best, bestAPos, bestB = x, int32(apos), b
-			}
-		}
-	}
-	return best, bestAPos, bestB
-}
-
-// checkBestOnAllPairs compares bestOn with refBestOn, bit for bit, for
-// every ordered pair of distinct machines — any machine may play the
-// critical one, since neither scan relies on it being critical.
-func checkBestOnAllPairs(t *testing.T, st *State, label string) {
-	t.Helper()
-	machs := st.inst.Machs
-	for crit := 0; crit < machs; crit++ {
-		for m := 0; m < machs; m++ {
-			if m == crit {
-				continue
-			}
-			gv, ga, gb := st.bestOn(m, crit, st.machJobs[crit])
-			wv, wa, wb := refBestOn(st, m, crit)
-			if math.Float64bits(gv) != math.Float64bits(wv) || ga != wa || gb != wb {
-				t.Fatalf("%s crit %d m %d: staircase (%x,%d,%d) != pair loop (%x,%d,%d)",
-					label, crit, m, gv, ga, gb, wv, wa, wb)
-			}
-		}
 	}
 }
 
@@ -132,10 +85,49 @@ func griddInstance(jobs, machs int, seed uint64) *etc.Instance {
 	return in
 }
 
-// TestBestOnMatchesPairScan pins the staircase scan to the pair loop on
-// random, tie-heavy and gridd-shaped instances, each on both matrix
-// backings, across commit sequences that reshape the machine lists.
-func TestBestOnMatchesPairScan(t *testing.T) {
+// refCriticalSwap is the reference query: every (critical job, partner)
+// pair through the scalar CompletionAfterSwap query, partners in
+// ascending id order, folded with the historical strict-< across critical
+// jobs in SPT order. Exempt machines (SetScanExempt) take part on
+// neither side, as the query's contract says.
+func refCriticalSwap(st *State) (float64, int, int) {
+	exempt := func(m int) bool { return st.scanExempt != nil && st.scanExempt[m] }
+	crit := st.MakespanMachine()
+	best, bestA, bestB := math.Inf(1), -1, -1
+	if exempt(crit) {
+		return best, bestA, bestB
+	}
+	for _, a := range st.JobsOn(crit) {
+		for b := 0; b < st.inst.Jobs; b++ {
+			if m := st.Assign(b); m == crit || exempt(m) {
+				continue
+			}
+			aC, bC := st.CompletionAfterSwap(int(a), b)
+			if v := math.Max(aC, bC); v < best {
+				best, bestA, bestB = v, int(a), b
+			}
+		}
+	}
+	return best, bestA, bestB
+}
+
+// checkCriticalSwap compares the query with refCriticalSwap, bit for bit.
+func checkCriticalSwap(t *testing.T, st *State, label string) {
+	t.Helper()
+	gv, ga, gb := st.Scans(DefaultObjective).BestCriticalSwap()
+	wv, wa, wb := refCriticalSwap(st)
+	if math.Float64bits(gv) != math.Float64bits(wv) || ga != wa || gb != wb {
+		t.Fatalf("%s: query (%x,%d,%d) != pair scan (%x,%d,%d)", label, gv, ga, gb, wv, wa, wb)
+	}
+}
+
+// TestCriticalSwapMatchesPairScan pins the pruned query to the pair scan
+// on random, tie-heavy and gridd-shaped instances, each on both matrix
+// backings, across commit sequences that reshape the machine lists and
+// move the critical machine. The gridd-shaped instances exempt their
+// parking column, as the daemon does; on the others an exemption comes
+// and goes mid-sequence.
+func TestCriticalSwapMatchesPairScan(t *testing.T) {
 	instances := []*etc.Instance{
 		randInstance(301, 48, 4),
 		randInstance(302, 90, 7),
@@ -151,29 +143,38 @@ func TestBestOnMatchesPairScan(t *testing.T) {
 		for _, tw := range []*etc.Instance{in, narrowTwin(in)} {
 			r := rng.New(uint64(i) + 340)
 			st := NewState(tw, NewRandom(tw, r))
-			for step := 0; step < 40; step++ {
-				checkBestOnAllPairs(t, st, fmt.Sprintf("%s step %d", tw.Name, step))
-				for k := 0; k < 3; k++ {
-					st.Move(r.Intn(tw.Jobs), r.Intn(tw.Machs))
+			if in.Name == "gridd" {
+				st.SetScanExempt(tw.Machs-1, true)
+			}
+			for step := 0; step < 120; step++ {
+				checkCriticalSwap(t, st, fmt.Sprintf("%s step %d", tw.Name, step))
+				if in.Name != "gridd" && step%20 == 10 {
+					m := r.Intn(tw.Machs)
+					st.SetScanExempt(m, true)
+					checkCriticalSwap(t, st, fmt.Sprintf("%s step %d exempt %d", tw.Name, step, m))
+					st.SetScanExempt(m, false)
 				}
+				st.Move(r.Intn(tw.Jobs), r.Intn(tw.Machs))
 				st.Swap(r.Intn(tw.Jobs), r.Intn(tw.Jobs))
 			}
 		}
 	}
 }
 
-// FuzzBestOn decodes a small instance and schedule from the input and
-// checks bestOn against the pair loop for every (crit, m) pair on both
-// backings. Entries come from a palette of tied integers, park keys,
-// 1e18 blocks and fractional values, so ties, absorbed additions and
-// long staircases all show up in short inputs.
-func FuzzBestOn(f *testing.F) {
+// FuzzCriticalSwap decodes a small instance, schedule and exempt machine
+// from the input and checks the query against the pair scan on both
+// backings, then again after each of a few random moves seeded from the
+// input. Entries come from a palette of tied integers, park keys, 1e18
+// blocks and fractional values, so ties, absorbed additions and long
+// staircases all show up in short inputs.
+func FuzzCriticalSwap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		machs := 2 + int(data[0]%5)
 		jobs := 1 + int(data[1]%48)
+		seed := uint64(len(data))
 		data = data[2:]
 		next := func() byte {
 			if len(data) == 0 {
@@ -206,39 +207,74 @@ func FuzzBestOn(f *testing.F) {
 		for j := range s {
 			s[j] = int(next()) % machs
 		}
+		exempt := -1 // a set high bit selects one machine to exempt
+		if b := next(); b >= 0x80 {
+			exempt = int(b) % machs
+		}
 		for _, tw := range []*etc.Instance{in, narrowTwin(in)} {
-			checkBestOnAllPairs(t, NewState(tw, s), tw.Name)
+			st := NewState(tw, s)
+			if exempt >= 0 {
+				st.SetScanExempt(exempt, true)
+			}
+			r := rng.New(seed)
+			for step := 0; step < 8; step++ {
+				checkCriticalSwap(t, st, fmt.Sprintf("%s step %d", tw.Name, step))
+				st.Move(r.Intn(jobs), r.Intn(machs))
+			}
 		}
 	})
 }
 
-// refCriticalSwap is the uncached reference: every (critical job,
-// partner) pair through the scalar CompletionAfterSwap query, partners in
-// ascending id order, folded with the historical strict-< across critical
-// jobs in SPT order.
-func refCriticalSwap(st *State) (float64, int, int) {
-	crit := st.MakespanMachine()
-	best, bestA, bestB := math.Inf(1), -1, -1
-	for _, a := range st.JobsOn(crit) {
-		for b := 0; b < st.inst.Jobs; b++ {
-			if st.Assign(b) == crit {
-				continue
+// TestCriticalSwapPrunesAgainstGlobalBest pins that the bound is checked
+// against the best pair found over all machines so far, not per machine:
+// the first partner machine holds the global winner, and every critical
+// job's bound on the later machines exceeds it, so the query runs one
+// binary search per critical job on the first machine and none after.
+func TestCriticalSwapPrunesAgainstGlobalBest(t *testing.T) {
+	const crit, critJobs, perMach = 3, 5, 3
+	jobs := critJobs + 3*perMach
+	in := etc.New("prune", jobs, 4)
+	s := make(Schedule, jobs)
+	for a := 0; a < critJobs; a++ {
+		in.Set(a, crit, float64(1000+a))
+		in.Set(a, 0, 10)
+		in.Set(a, 1, 1e5)
+		in.Set(a, 2, 1e5)
+		s[a] = crit
+	}
+	for m := 0; m < 3; m++ {
+		for k := 0; k < perMach; k++ {
+			b := critJobs + m*perMach + k
+			for mm := 0; mm < 3; mm++ {
+				in.Set(b, mm, 1e5)
 			}
-			aC, bC := st.CompletionAfterSwap(int(a), b)
-			if v := math.Max(aC, bC); v < best {
-				best, bestA, bestB = v, int(a), b
-			}
+			in.Set(b, m, float64(100+k))
+			in.Set(b, crit, 50)
+			s[b] = m
 		}
 	}
-	return best, bestA, bestB
+	in.Finalize()
+	for _, tw := range []*etc.Instance{in, narrowTwin(in)} {
+		st := NewState(tw, s)
+		if st.MakespanMachine() != crit {
+			t.Fatalf("%s: critical machine %d, want %d", tw.Name, st.MakespanMachine(), crit)
+		}
+		sc := st.Scans(DefaultObjective)
+		before := sc.searches
+		checkCriticalSwap(t, st, tw.Name)
+		if n := sc.searches - before; n != critJobs {
+			t.Fatalf("%s: %d binary searches, want %d (first machine only)", tw.Name, n, critJobs)
+		}
+	}
 }
 
 // TestCachedScanMatchesFullSweep drives a state through long random
 // commit sequences — single moves, swaps, occasional wholesale
-// SetSchedule/CopyFrom invalidations, repeated queries with nothing dirty
-// — and checks the cached query against the reference pair scan after
-// every step. The reference runs on a mirror state, so a query that
-// corrupted the state it scans cannot corrupt its reference too.
+// SetSchedule replacements, steps with no commit — and checks the query
+// against the reference pair scan twice after every step (the repeat
+// reuses the state's scratch). The reference runs on a mirror state, so
+// a query that corrupted the state it scans cannot corrupt its reference
+// too.
 func TestCachedScanMatchesFullSweep(t *testing.T) {
 	o := DefaultObjective
 	for i, in := range scanInstances() {
@@ -258,23 +294,20 @@ func TestCachedScanMatchesFullSweep(t *testing.T) {
 				a, b := r.Intn(in.Jobs), r.Intn(in.Jobs)
 				st.Swap(a, b)
 				mirror.Swap(a, b)
-			case op == 8: // wholesale invalidation
+			case op == 8: // wholesale replacement
 				s := NewRandom(in, r)
 				st.SetSchedule(s)
 				mirror.SetSchedule(s)
-			default: // no-op: next query folds a fully warm cache
+			default: // no commit
 			}
-			for q := 0; q < 2; q++ { // second query hits the warm path
+			for q := 0; q < 2; q++ {
 				gv, ga, gb := sc.BestCriticalSwap()
 				wv, wa, wb := refCriticalSwap(mirror)
 				if gv != wv || ga != wa || gb != wb {
-					t.Fatalf("instance %d step %d: cached scan (%x,%d,%d) != full sweep (%x,%d,%d)",
+					t.Fatalf("instance %d step %d: query (%x,%d,%d) != pair scan (%x,%d,%d)",
 						i, step, gv, ga, gb, wv, wa, wb)
 				}
 				queries++
-			}
-			if st.PendingDirty() != 0 {
-				t.Fatalf("instance %d step %d: %d pending dirty after query", i, step, st.PendingDirty())
 			}
 		}
 		if queries < 1500 {
@@ -363,86 +396,9 @@ func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 	}
 }
 
-// TestDirtySetSemantics pins the commit event log: a Move marks source
-// and target (plus the critical machines when the tree root moves), a
-// no-op marks nothing, drains empty the log, and wholesale invalidations
-// reset it — so a pooled state is reused clean.
-func TestDirtySetSemantics(t *testing.T) {
-	in := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 40, Machs: 5, Seed: 60})
-	r := rng.New(3)
-	st := NewState(in, NewRandom(in, r))
-	if st.PendingDirty() != 0 {
-		t.Fatalf("fresh state has %d pending dirty", st.PendingDirty())
-	}
-	j := 0
-	from := st.Assign(j)
-	to := (from + 1) % in.Machs
-	critBefore := st.MakespanMachine()
-	st.Move(j, to)
-	marked := map[int32]bool{}
-	for _, m := range st.DirtyMachines() {
-		marked[m] = true
-	}
-	if !marked[int32(from)] || !marked[int32(to)] {
-		t.Fatalf("Move(%d→%d) marked %v, want source+target", from, to, st.DirtyMachines())
-	}
-	if critAfter := st.MakespanMachine(); critAfter != critBefore &&
-		(!marked[int32(critBefore)] || !marked[int32(critAfter)]) {
-		t.Fatalf("critical machine moved %d→%d but marks are %v", critBefore, critAfter, st.DirtyMachines())
-	}
-	st.SyncScans()
-	if st.PendingDirty() != 0 {
-		t.Fatal("SyncScans left pending dirty")
-	}
-	st.Move(j, to) // no-op: already there
-	if st.PendingDirty() != 0 {
-		t.Fatal("no-op Move marked machines")
-	}
-	st.Swap(j, j) // no-op
-	if st.PendingDirty() != 0 {
-		t.Fatal("no-op Swap marked machines")
-	}
-	st.Move(j, from)
-	if st.PendingDirty() == 0 {
-		t.Fatal("commit did not mark")
-	}
-	st.SetSchedule(NewRandom(in, r))
-	if st.PendingDirty() != 0 {
-		t.Fatal("SetSchedule left pending dirty")
-	}
-	st.Move(0, (st.Assign(0)+1)%in.Machs)
-	other := NewState(in, NewRandom(in, r))
-	st.CopyFrom(other)
-	if st.PendingDirty() != 0 {
-		t.Fatal("CopyFrom left pending dirty")
-	}
-	// Epochs must still have advanced across the wholesale reset, so any
-	// cached entry computed before it is stale.
-	if st.Epoch() == 0 || st.MachEpoch(0) != st.Epoch() {
-		t.Fatalf("wholesale reset: epoch %d, machEpoch %d", st.Epoch(), st.MachEpoch(0))
-	}
-}
-
-// TestDirtyAuditGauge exercises the cross-state leak gauge the public
-// Run leak check builds on.
-func TestDirtyAuditGauge(t *testing.T) {
-	DirtyAuditStart()
-	defer DirtyAuditStop()
-	in := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 30, Machs: 4, Seed: 61})
-	r := rng.New(9)
-	st := NewState(in, NewRandom(in, r))
-	st.Move(0, (st.Assign(0)+1)%in.Machs)
-	if DirtyAuditPending() == 0 {
-		t.Fatal("commit not audited")
-	}
-	st.SyncScans()
-	if n := DirtyAuditPending(); n != 0 {
-		t.Fatalf("audit gauge %d after drain", n)
-	}
-}
-
-// TestCachedScanAllocationFree asserts the steady-state query path of the
-// cache — including re-sweeps of dirtied machines — never allocates.
+// TestCachedScanAllocationFree asserts that the critical-swap query and
+// the cached move probe never allocate once the state's scratch has
+// grown.
 func TestCachedScanAllocationFree(t *testing.T) {
 	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
 		0, etc.GenerateOptions{Seed: 86, Jobs: 128, Machs: 16})
@@ -450,41 +406,21 @@ func TestCachedScanAllocationFree(t *testing.T) {
 	r := rng.New(4)
 	st := NewState(in, NewRandom(in, r))
 	sc := st.Scans(o)
-	sc.BestCriticalSwap() // size the memo arrays
+	sc.BestCriticalSwap() // grow the scratch
 	if n := testing.AllocsPerRun(100, func() {
-		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs)) // dirty two machines
-		sc.BestCriticalSwap()                      // O(changed) revalidation
-		sc.BestCriticalSwap()                      // warm fold
+		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
+		sc.BestCriticalSwap()
 		sc.FitnessAfterMove(r.Intn(in.Jobs), r.Intn(in.Machs))
 	}); n != 0 {
 		t.Errorf("cached scan allocates %v per query cycle", n)
 	}
 }
 
-// BenchmarkCachedScanQuery measures one warm cached critical-swap query —
-// the steady-state O(M) fold — at the paper's 512×16 shape. Must report 0
-// allocs/op: CI runs every CachedScan benchmark with -benchtime=1x and
-// fails otherwise.
-func BenchmarkCachedScanQuery(b *testing.B) {
-	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-		0, etc.GenerateOptions{Seed: 1, Jobs: 512, Machs: 16})
-	r := rng.New(7)
-	st := NewState(in, NewRandom(in, r))
-	sc := st.Scans(DefaultObjective)
-	sc.BestCriticalSwap()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.BestCriticalSwap()
-	}
-}
-
 // BenchmarkCachedScanCold measures the cMA's per-offspring pattern: a
-// wholesale SetSchedule, which leaves every memo entry stale, then one
-// critical-swap query, which re-scans every partner machine. The op
-// includes the rebuild (BenchmarkRebuildBucket times it alone). Runs on
-// the Braun u_c_hihi.0 shape (512×16) and a 2048×64 c_hihi GenSpec.
-// 0 allocs/op, CI-guarded.
+// wholesale SetSchedule, then one critical-swap query over every partner
+// machine. The op includes the rebuild (BenchmarkRebuildBucket times it
+// alone). Runs on the Braun u_c_hihi.0 shape (512×16) and a 2048×64
+// c_hihi GenSpec. 0 allocs/op, CI-guarded.
 func BenchmarkCachedScanCold(b *testing.B) {
 	braun, err := etc.GenerateByName("u_c_hihi.0")
 	if err != nil {
@@ -509,24 +445,5 @@ func BenchmarkCachedScanCold(b *testing.B) {
 				sc.BestCriticalSwap()
 			}
 		})
-	}
-}
-
-// BenchmarkCachedScanRevalidate measures the event-driven path: one
-// committed move dirties two machines, the next query re-sweeps exactly
-// those and folds the rest from the memo — the O(changed) cost the delta
-// engine replaces the O(M) full sweep with. 0 allocs/op, CI-guarded.
-func BenchmarkCachedScanRevalidate(b *testing.B) {
-	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-		0, etc.GenerateOptions{Seed: 1, Jobs: 512, Machs: 16})
-	r := rng.New(7)
-	st := NewState(in, NewRandom(in, r))
-	sc := st.Scans(DefaultObjective)
-	sc.BestCriticalSwap()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
-		sc.BestCriticalSwap()
 	}
 }

@@ -28,7 +28,7 @@ type State struct {
 	// directly when the instance has the float64 backing, falling back to
 	// the At accessor under the narrow float32 backing — one predictable
 	// branch per call instead of one per matrix read, which measurably
-	// matters in the sub-microsecond cached-scan path.
+	// matters in the sub-microsecond probe path.
 	etc64    []float64
 	assign   Schedule
 	machJobs [][]int32 // per machine, job ids sorted by (ETC, id)
@@ -45,33 +45,21 @@ type State struct {
 	flowtime   float64
 	top        maxTree // argmax over completion, O(log M) maintenance
 
-	// Change tracking for the event-driven scan cache (scancache.go).
-	// epoch counts committed mutations; machEpoch[m] is the epoch of
-	// machine m's last content change — a cached per-machine scan result
-	// is valid exactly while the machine's epoch is unchanged. The dirty
-	// set (mark + id list, both bounded by the machine count) is the
-	// commit event log: a Move or Swap marks its source and target
-	// machines, plus the old and new critical machine when the tournament
-	// tree's root moved. The attached ScanCache drains it on every query;
-	// wholesale re-evaluations (SetSchedule, CopyFrom, rebuild) clear it
-	// outright, because bumping every machine's epoch already invalidates
-	// every cached entry — a pooled state is therefore reused with an
-	// empty dirty set, never carrying pending marks across runs.
-	epoch     uint64
-	machEpoch []uint64
-	dirtyIDs  []int32
-	dirtyMark []bool
+	// epoch counts committed mutations: the scan cache's move-side probe
+	// context (scancache.go) is valid exactly while it is unchanged.
+	epoch uint64
 
 	// Scratch owned by the state so the stateless search methods stay
 	// allocation-free: sweepFit is the move sweep's output (sweep.go);
-	// sweepA/sweepB hold the critical-swap scan's staircase
-	// (scancache.go), so they grow to the longest machine list.
-	// Pure scratch: lazily grown, never read across calls, not part of
-	// the state's value (Clone starts them empty, CopyFrom leaves them
-	// alone).
+	// sweepA/sweepB hold the critical-swap query's staircase and sweepCA
+	// its per-critical-job context (scancache.go), so they grow to the
+	// longest machine list. Pure scratch: lazily grown, never read across
+	// calls, not part of the state's value (Clone starts them empty,
+	// CopyFrom leaves them alone).
 	sweepFit []float64
 	sweepA   []float64
 	sweepB   []float64
+	sweepCA  []float64
 
 	// Scratch of SetScheduleDiff: changed job ids, changed machine ids and
 	// the per-machine membership mark. Pure scratch like the sweep buffers
@@ -80,8 +68,8 @@ type State struct {
 	diffMachs []int32
 	diffMark  []bool
 
-	// scanExempt[m] excludes machine m from the cached critical-swap
-	// sweep (SetScanExempt). Nil when no machine is exempt.
+	// scanExempt[m] excludes machine m from the critical-swap query
+	// (SetScanExempt). Nil when no machine is exempt.
 	scanExempt []bool
 
 	// sampleIDs backs the partner pool of SampledLMCTSBatch
@@ -105,10 +93,10 @@ type State struct {
 	regOff   []int32
 	jobKey   []float64
 
-	// scanCache is the event-driven memo layer over the sweep kernels
-	// (scancache.go), lazily sized by Scans. Like the sweep scratch it is
-	// not part of the state's value: Clone and CopyFrom leave it cold and
-	// the machine epochs make every stale entry self-invalidating.
+	// scanCache serves the search methods' neighborhood queries
+	// (scancache.go), bound by Scans. Like the sweep scratch it is not
+	// part of the state's value: Clone leaves it unbound, and the epoch
+	// makes a stale move context recapture.
 	scanCache ScanCache
 }
 
@@ -128,9 +116,6 @@ func NewState(in *etc.Instance, s Schedule) *State {
 		slot:       make([]int32, in.Jobs),
 		completion: make([]float64, in.Machs),
 		machFlow:   make([]float64, in.Machs),
-		machEpoch:  make([]uint64, in.Machs),
-		dirtyIDs:   make([]int32, 0, in.Machs),
-		dirtyMark:  make([]bool, in.Machs),
 		counts:     make([]int32, in.Machs),
 		regOff:     make([]int32, in.Machs+1),
 	}
@@ -177,9 +162,8 @@ func (st *State) ensureRegions(counts []int32) {
 	}
 }
 
-// rebuild recomputes all derived state from st.assign. Every machine's
-// content changes, so every machine advances to a fresh epoch and the
-// pending dirty set is cleared — the epoch bump subsumes it.
+// rebuild recomputes all derived state from st.assign and advances the
+// epoch.
 //
 // The pass is bucket-by-machine over the shared backing: count each
 // machine's jobs, carve regions, drop every job into its machine's bucket
@@ -191,7 +175,7 @@ func (st *State) ensureRegions(counts []int32) {
 // frontier scale: comparators touch a J-sized array with high locality
 // instead of gather-loading a multi-hundred-MB matrix.
 func (st *State) rebuild() {
-	st.touchAll()
+	st.epoch++
 	counts := st.counts
 	for m := range counts {
 		counts[m] = 0
@@ -289,79 +273,8 @@ func (st *State) refreshMachine(m int) {
 	st.top.update(m, t)
 }
 
-// touchAll advances every machine to a fresh epoch and clears the dirty
-// set: the wholesale invalidation of rebuild, SetSchedule and CopyFrom.
-func (st *State) touchAll() {
-	st.epoch++
-	for m := range st.machEpoch {
-		st.machEpoch[m] = st.epoch
-	}
-	st.drainDirty()
-}
-
-// markDirty records machine m in the commit event log (idempotent per
-// drain interval; the list is bounded by the machine count).
-func (st *State) markDirty(m int) {
-	if !st.dirtyMark[m] {
-		st.dirtyMark[m] = true
-		st.dirtyIDs = append(st.dirtyIDs, int32(m))
-		dirtyAuditAdd(1)
-	}
-}
-
-// drainDirty consumes the event log: clears every mark and empties the
-// list. The machine epochs remain the validity truth, so draining never
-// loses information — it only acknowledges that the observer (the scan
-// cache, or a wholesale re-evaluation) has caught up.
-func (st *State) drainDirty() {
-	if len(st.dirtyIDs) == 0 {
-		return
-	}
-	dirtyAuditAdd(-int64(len(st.dirtyIDs)))
-	for _, m := range st.dirtyIDs {
-		st.dirtyMark[m] = false
-	}
-	st.dirtyIDs = st.dirtyIDs[:0]
-}
-
-// noteCommit is the Move/Swap commit hook: machines m1 and m2 changed
-// content (they advance to a fresh epoch and enter the dirty set), and if
-// the tournament tree's root — the critical machine — moved across the
-// commit, the old and new critical machines are marked too, so an
-// event-driven consumer sees every machine whose role in the next scan
-// changed, not just the two whose lists did.
-func (st *State) noteCommit(m1, m2, critBefore int) {
-	st.epoch++
-	st.machEpoch[m1] = st.epoch
-	st.machEpoch[m2] = st.epoch
-	st.markDirty(m1)
-	st.markDirty(m2)
-	if critAfter := st.top.argmax(); critAfter != critBefore {
-		st.markDirty(critBefore)
-		st.markDirty(critAfter)
-	}
-}
-
-// SyncScans drains the pending dirty set. Search loops that commit moves
-// call it before handing the state back (to a pool, or to their caller),
-// so a state never carries pending invalidation events out of a run —
-// the leak invariant the dirty-set audit (DirtyAuditStart) checks. The
-// scan cache drains on every query, so this is only needed when the last
-// action was a commit.
-func (st *State) SyncScans() { st.drainDirty() }
-
-// PendingDirty reports how many machines are in the commit event log —
-// zero whenever the scan cache (or SyncScans) has caught up. White-box
-// tests use it to pin the drain discipline.
-func (st *State) PendingDirty() int { return len(st.dirtyIDs) }
-
-// DirtyMachines returns the machines currently in the commit event log.
-// Callers must not mutate the returned slice; it is valid until the next
-// commit or drain.
-func (st *State) DirtyMachines() []int32 { return st.dirtyIDs }
-
-// SetScanExempt excludes machine m from (or re-admits it to) the cached
-// critical-swap sweep: BestCriticalSwap never scans an exempt machine's
+// SetScanExempt excludes machine m from (or re-admits it to) the
+// critical-swap query: BestCriticalSwap never scans an exempt machine's
 // jobs and never proposes a swap involving them. The caller asserts that
 // no such swap can ever be accepted anyway — the use case is a host
 // keeping placeholder jobs on a dedicated machine whose swap candidates
@@ -373,8 +286,8 @@ func (st *State) DirtyMachines() []int32 { return st.dirtyIDs }
 //
 // The flag is part of the state's search configuration, not its value:
 // Clone carries it over, CopyFrom leaves the destination's flags alone,
-// and no epoch moves — cached entries stay valid, they are simply
-// skipped (and re-validated by epoch as usual if re-admitted).
+// and no epoch moves. The next query reads it; nothing is cached against
+// it.
 func (st *State) SetScanExempt(m int, exempt bool) {
 	if st.scanExempt == nil {
 		if !exempt {
@@ -385,11 +298,9 @@ func (st *State) SetScanExempt(m int, exempt bool) {
 	st.scanExempt[m] = exempt
 }
 
-// Epoch returns the state's mutation counter; MachEpoch the epoch of
-// machine m's last content change. A cached per-machine result computed
-// at MachEpoch(m) stays exact while that value is unchanged.
-func (st *State) Epoch() uint64          { return st.epoch }
-func (st *State) MachEpoch(m int) uint64 { return st.machEpoch[m] }
+// Epoch returns the state's mutation counter. A result computed from the
+// state at Epoch() stays exact while that value is unchanged.
+func (st *State) Epoch() uint64 { return st.epoch }
 
 // Instance returns the instance this state evaluates against.
 func (st *State) Instance() *etc.Instance { return st.inst }
@@ -490,7 +401,6 @@ func (st *State) Move(j, to int) {
 	if from == to {
 		return
 	}
-	crit := st.top.argmax()
 	st.flowtime -= st.machFlow[from] + st.machFlow[to]
 	st.remove(j, from)
 	st.insert(j, to)
@@ -498,7 +408,7 @@ func (st *State) Move(j, to int) {
 	st.refreshMachine(from)
 	st.refreshMachine(to)
 	st.flowtime += st.machFlow[from] + st.machFlow[to]
-	st.noteCommit(from, to, crit)
+	st.epoch++
 }
 
 // Swap exchanges the machines of jobs a and b. Swapping jobs on the same
@@ -508,7 +418,6 @@ func (st *State) Swap(a, b int) {
 	if ma == mb {
 		return
 	}
-	crit := st.top.argmax()
 	st.flowtime -= st.machFlow[ma] + st.machFlow[mb]
 	st.remove(a, ma)
 	st.remove(b, mb)
@@ -518,7 +427,7 @@ func (st *State) Swap(a, b int) {
 	st.refreshMachine(ma)
 	st.refreshMachine(mb)
 	st.flowtime += st.machFlow[ma] + st.machFlow[mb]
-	st.noteCommit(ma, mb, crit)
+	st.epoch++
 }
 
 // CompletionAfterMove returns, in O(1), the completion times the source and
@@ -556,14 +465,11 @@ func (st *State) SetSchedule(s Schedule) {
 
 // SetScheduleDiff replaces the schedule like SetSchedule but by diffing s
 // against the current assignment: only jobs whose machine changed are
-// re-listed, only machines whose job sets changed are refreshed, and only
-// those machines advance to a fresh epoch and enter the dirty set (plus
-// the old and new critical machine when the tournament root moves,
-// mirroring the Move/Swap commit hook). Every cached scan result of an
-// untouched machine therefore stays valid — the warm-start admission path
-// of the online daemon and cache-aware island migration both depend on
-// this, where SetSchedule's wholesale epoch bump would cold-start the
-// event-driven scan cache on every batch commit.
+// re-listed and only machines whose job sets changed are refreshed, so
+// the cost is O(changed) rather than a full rebuild — the online
+// daemon's batch admission and island migration, which replace a few
+// jobs of a large schedule, depend on this. The epoch advances once when
+// anything changed and not at all for an empty diff.
 //
 // The resulting value state is bit-identical to SetSchedule(s): the
 // per-machine job lists are (ETC, id)-sorted sets, so they are order
@@ -571,9 +477,8 @@ func (st *State) SetSchedule(s Schedule) {
 // changed machine with the exact arithmetic rebuild uses; and the state
 // flowtime is re-folded canonically (Σ machFlow in ascending machine
 // order — rebuild's own accumulation order) rather than diff-adjusted,
-// which keeps the fitness bits equal to a from-scratch evaluation. Only
-// the epoch/dirty bookkeeping differs, by design. Pinned by the
-// differential tests in statediff_test.go.
+// which keeps the fitness bits equal to a from-scratch evaluation. Pinned
+// by the differential tests in statediff_test.go.
 func (st *State) SetScheduleDiff(s Schedule) {
 	if err := s.Validate(st.inst); err != nil {
 		panic(err)
@@ -601,7 +506,6 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	if len(st.diffJobs) == 0 {
 		return
 	}
-	crit := st.top.argmax()
 	// Remove in descending job order: a removal shifts only the list tail
 	// behind it, so draining a long (e.g. parking) machine back to front
 	// touches each surviving element at most once.
@@ -617,33 +521,22 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	st.epoch++
 	for _, m := range st.diffMachs {
 		st.diffMark[m] = false
-		st.machEpoch[m] = st.epoch
-		st.markDirty(int(m))
 		st.refreshMachine(int(m))
 	}
 	st.flowtime = 0
 	for m := range st.machFlow {
 		st.flowtime += st.machFlow[m]
 	}
-	if critAfter := st.top.argmax(); critAfter != crit {
-		st.markDirty(crit)
-		st.markDirty(critAfter)
-	}
 }
 
-// InvalidateMachine advances machine m to a fresh epoch and marks it
-// dirty without touching its contents. Callers that mutate inputs the
-// state cannot observe — the online daemon rewrites a machine's ETC
-// column when grid membership changes — use it to force every cached
-// scan result involving the machine to be recomputed on the next query.
-// The machine must hold no jobs whose list order the rewritten column
-// would change; the daemon guarantees that by only rewriting columns of
-// empty (joined or vacated) machines.
-func (st *State) InvalidateMachine(m int) {
-	st.epoch++
-	st.machEpoch[m] = st.epoch
-	st.markDirty(m)
-}
+// InvalidateMachine advances the epoch without touching the state's
+// contents. Callers that mutate inputs the state cannot observe — the
+// online daemon rewrites a machine's ETC column when grid membership
+// changes — use it so that every context derived from the state is
+// recaptured on the next query. The machine must hold no jobs whose list
+// order the rewritten column would change; the daemon guarantees that by
+// only rewriting columns of empty (joined or vacated) machines.
+func (st *State) InvalidateMachine(m int) { st.epoch++ }
 
 // RefreshFlowtime re-folds the state flowtime canonically: Σ machFlow in
 // ascending machine order, the exact accumulation rebuild performs. Move
@@ -654,8 +547,7 @@ func (st *State) InvalidateMachine(m int) {
 // restored from a snapshot (which rebuilds, and therefore folds) is
 // bit-identical to the live state it was taken from. The per-machine
 // flows are refreshMachine products and need no refold. The state epoch
-// advances so cached fitness contexts recapture; machine contents are
-// untouched, so no machine epoch moves and no dirty mark is added.
+// advances so cached fitness contexts recapture.
 func (st *State) RefreshFlowtime() {
 	st.flowtime = 0
 	for m := range st.machFlow {
@@ -700,9 +592,6 @@ func (st *State) Clone() *State {
 		flowtime:   st.flowtime,
 		top:        st.top.clone(),
 		epoch:      st.epoch,
-		machEpoch:  append([]uint64(nil), st.machEpoch...),
-		dirtyIDs:   make([]int32, 0, machs),
-		dirtyMark:  make([]bool, machs),
 		counts:     make([]int32, machs),
 		regOff:     make([]int32, machs+1),
 	}
@@ -718,7 +607,7 @@ func (st *State) CopyFrom(src *State) {
 	if st.inst != src.inst {
 		panic("schedule: CopyFrom across instances")
 	}
-	st.touchAll()
+	st.epoch++
 	st.assign.CopyFrom(src.assign)
 	copy(st.slot, src.slot)
 	copy(st.completion, src.completion)
@@ -738,8 +627,8 @@ type MemStats struct {
 	AssignBytes  int // schedule vector, slot table, rebuild key cache
 	ListBytes    int // per-machine job-id lists (shared region backing)
 	PrefixBytes  int // per-slot completion/flowtime prefix sums
-	MachineBytes int // per-machine scalars, epochs, tournament tree, carve scratch
-	ScratchBytes int // sweep/diff/sample scratch and the scan-cache memo
+	MachineBytes int // per-machine scalars, tournament tree, carve scratch
+	ScratchBytes int // sweep/diff/sample scratch
 	TotalBytes   int
 	BytesPerJob  float64
 }
@@ -754,15 +643,12 @@ func (st *State) MemStats() MemStats {
 	ms.ListBytes = cap(st.backing) * 4
 	ms.PrefixBytes = (cap(st.backCumC) + cap(st.backCumF)) * 8
 	ms.MachineBytes = (cap(st.completion)+cap(st.machFlow))*8 +
-		cap(st.machEpoch)*8 + cap(st.dirtyIDs)*4 + cap(st.dirtyMark) +
 		(cap(st.counts)+cap(st.regOff))*4 +
 		cap(st.top.win)*4 + cap(st.top.val)*8 +
 		(len(st.machJobs)+len(st.machCumC)+len(st.machCumF))*24 // slice headers
-	ms.ScratchBytes = (cap(st.sweepFit)+cap(st.sweepA)+cap(st.sweepB))*8 +
+	ms.ScratchBytes = (cap(st.sweepFit)+cap(st.sweepA)+cap(st.sweepB)+cap(st.sweepCA))*8 +
 		(cap(st.diffJobs)+cap(st.diffMachs))*4 + cap(st.diffMark) +
-		cap(st.scanExempt) + cap(st.sampleIDs)*4 +
-		cap(st.scanCache.entryEpoch)*8 + cap(st.scanCache.entryVal)*8 +
-		(cap(st.scanCache.entryAPos)+cap(st.scanCache.entryB))*4
+		cap(st.scanExempt) + cap(st.sampleIDs)*4
 	ms.TotalBytes = ms.AssignBytes + ms.ListBytes + ms.PrefixBytes +
 		ms.MachineBytes + ms.ScratchBytes
 	if ms.Jobs > 0 {

@@ -24,8 +24,7 @@ func diffTestInstance(jobs, machs int, seed uint64) *etc.Instance {
 }
 
 // requireStateEqual compares every value-bearing field of two states bit
-// for bit (epochs and dirty bookkeeping are allowed to differ — that is
-// the point of the diff path).
+// for bit (the epoch is allowed to differ).
 func requireStateEqual(t *testing.T, got, want *State) {
 	t.Helper()
 	if !got.assign.Equal(want.assign) {
@@ -110,84 +109,60 @@ func TestSetScheduleDiffMatchesSetSchedule(t *testing.T) {
 					t.Fatalf("FitnessAfterMove(%d,%d) bits differ after diff: %v vs %v", j, to, df, ff)
 				}
 			}
-			diffSt.SyncScans()
-			fullSt.SyncScans()
 		}
 	}
 }
 
 // TestSetScheduleDiffDirtiesOnlyChangedMachines pins the delta contract:
-// the diff path marks exactly the machines whose job sets changed (plus
-// the old and new critical machine when the tournament root moves), and
-// leaves every other machine's epoch — and therefore every cached scan
-// entry — untouched.
+// the diff path refreshes exactly the machines whose job sets changed —
+// every other machine's derived data is left as it was, not recomputed —
+// and advances the epoch once, or not at all for an empty diff.
 func TestSetScheduleDiffDirtiesOnlyChangedMachines(t *testing.T) {
 	in := diffTestInstance(60, 6, 3)
 	r := rng.New(11)
 	st := NewState(in, NewRandom(in, r))
-	st.SyncScans()
 
-	epochBefore := make([]uint64, in.Machs)
-	for m := range epochBefore {
-		epochBefore[m] = st.MachEpoch(m)
-	}
-	critBefore := st.MakespanMachine()
-
-	// Move one job between two specific machines.
-	var j, from, to int
-	for j = 0; j < in.Jobs; j++ {
-		if st.Assign(j) == 0 {
-			from, to = 0, 1
-			break
-		}
-	}
+	// Move one job from machine 0 to machine 1.
+	const from, to = 0, 1
+	j := int(st.JobsOn(from)[0])
 	next := st.Schedule()
 	next[j] = to
+	// Poison every machine's last completion prefix: refreshMachine
+	// rewrites it, so after the diff only refreshed machines lose the
+	// mark.
+	const poison = -1.0
+	for _, c := range st.machCumC {
+		if len(c) > 0 {
+			c[len(c)-1] = poison
+		}
+	}
+	e := st.Epoch()
 	st.SetScheduleDiff(next)
-
-	critAfter := st.MakespanMachine()
-	wantDirty := map[int]bool{from: true, to: true}
-	if critAfter != critBefore {
-		wantDirty[critBefore] = true
-		wantDirty[critAfter] = true
+	if st.Epoch() != e+1 {
+		t.Errorf("diff moved the epoch %d → %d, want one step", e, st.Epoch())
 	}
-	gotDirty := map[int]bool{}
-	for _, m := range st.DirtyMachines() {
-		gotDirty[int(m)] = true
-	}
-	for m := range wantDirty {
-		if !gotDirty[m] {
-			t.Errorf("machine %d should be dirty", m)
+	for m, c := range st.machCumC {
+		if len(c) == 0 {
+			continue
+		}
+		refreshed := c[len(c)-1] != poison
+		if want := m == from || m == to; refreshed != want {
+			t.Errorf("machine %d refreshed=%v, want %v", m, refreshed, want)
 		}
 	}
-	for m := range gotDirty {
-		if !wantDirty[m] {
-			t.Errorf("machine %d dirty but its job set did not change", m)
-		}
-	}
-	for m := 0; m < in.Machs; m++ {
-		changed := st.MachEpoch(m) != epochBefore[m]
-		if wantCh := m == from || m == to; changed != wantCh {
-			t.Errorf("machine %d epoch moved=%v, want %v", m, changed, wantCh)
-		}
-	}
-	st.SyncScans()
 
 	// An empty diff is a no-op: no epoch movement at all.
-	e := st.Epoch()
+	e = st.Epoch()
 	st.SetScheduleDiff(st.Schedule())
 	if st.Epoch() != e {
 		t.Errorf("no-op diff moved the state epoch")
 	}
-	if n := st.PendingDirty(); n != 0 {
-		t.Errorf("no-op diff marked %d machines dirty", n)
-	}
 }
 
-// TestSetScheduleDiffScanCacheStaysExact runs the event-driven scan cache
-// across diff-based replacements and checks every query against a cold
-// full state — the daemon's admission loop in miniature: batches commit
-// through SetScheduleDiff, search queries hit the warm cache.
+// TestSetScheduleDiffScanCacheStaysExact runs the scan cache across
+// diff-based replacements and checks every query against a cold full
+// state — the daemon's admission loop in miniature: batches commit
+// through SetScheduleDiff, search queries follow on the live state.
 func TestSetScheduleDiffScanCacheStaysExact(t *testing.T) {
 	in := diffTestInstance(80, 8, 17)
 	r := rng.New(23)
@@ -206,9 +181,7 @@ func TestSetScheduleDiffScanCacheStaysExact(t *testing.T) {
 			t.Fatalf("step %d: cached scan (%v,%d,%d) != cold scan (%v,%d,%d)",
 				step, v, a, b, rv, ra, rb)
 		}
-		ref.SyncScans()
 	}
-	st.SyncScans()
 }
 
 // TestRefreshFlowtime pins the canonicalisation contract: after a long
@@ -226,7 +199,6 @@ func TestRefreshFlowtime(t *testing.T) {
 			st.Swap(r.Intn(in.Jobs), r.Intn(in.Jobs))
 		}
 	}
-	st.SyncScans()
 	clean := NewState(in, st.Schedule())
 	e := st.Epoch()
 	st.RefreshFlowtime()
@@ -236,15 +208,12 @@ func TestRefreshFlowtime(t *testing.T) {
 	if math.Float64bits(st.Flowtime()) != math.Float64bits(clean.Flowtime()) {
 		t.Errorf("flowtime not canonical after refresh: %v vs %v", st.Flowtime(), clean.Flowtime())
 	}
-	if n := st.PendingDirty(); n != 0 {
-		t.Errorf("RefreshFlowtime marked %d machines dirty", n)
-	}
 }
 
-// TestInvalidateMachine pins that the invalidation hook forces a cached
-// scan entry to be recomputed: after rewriting an empty machine's ETC
-// column (the daemon's join path), a query sees the new values iff the
-// machine was invalidated.
+// TestInvalidateMachine pins the invalidation hook: it advances the
+// epoch without touching the state's value, and after the daemon's join
+// path — a rewrite of an empty machine's ETC column — the scan cache
+// answers what a freshly built state answers.
 func TestInvalidateMachine(t *testing.T) {
 	in := diffTestInstance(40, 4, 41)
 	r := rng.New(43)
@@ -259,23 +228,33 @@ func TestInvalidateMachine(t *testing.T) {
 	}
 	st.SetScheduleDiff(next)
 	sc := st.Scans(DefaultObjective)
-	sc.BestCriticalSwap() // warm the cache (m's entry: empty machine)
+	sc.Fitness()
+	sc.BestCriticalSwap()
 
-	e := st.MachEpoch(m)
+	for j := 0; j < in.Jobs; j++ {
+		in.Set(j, m, float64(1+r.Intn(40)))
+	}
+	e := st.Epoch()
 	st.InvalidateMachine(m)
-	if st.MachEpoch(m) == e {
-		t.Fatalf("InvalidateMachine did not move the machine epoch")
+	if st.Epoch() == e {
+		t.Fatalf("InvalidateMachine did not advance the epoch")
 	}
-	if st.PendingDirty() == 0 {
-		t.Fatalf("InvalidateMachine did not mark the machine dirty")
-	}
-	st.SyncScans()
-	// The cache must now agree with a cold state on the next query.
-	v, a, b := sc.BestCriticalSwap()
 	ref := NewState(in, st.Schedule())
-	rv, ra, rb := ref.Scans(DefaultObjective).BestCriticalSwap()
-	ref.SyncScans()
+	requireStateEqual(t, st, ref)
+	rsc := ref.Scans(DefaultObjective)
+	if got, want := sc.Fitness(), rsc.Fitness(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("fitness %v != fresh %v", got, want)
+	}
+	v, a, b := sc.BestCriticalSwap()
+	rv, ra, rb := rsc.BestCriticalSwap()
 	if math.Float64bits(v) != math.Float64bits(rv) || a != ra || b != rb {
-		t.Fatalf("cached scan (%v,%d,%d) != cold scan (%v,%d,%d)", v, a, b, rv, ra, rb)
+		t.Fatalf("query (%v,%d,%d) != fresh (%v,%d,%d)", v, a, b, rv, ra, rb)
+	}
+	for j := 0; j < in.Jobs; j++ {
+		got := sc.FitnessAfterMove(j, m)
+		want := rsc.FitnessAfterMove(j, m)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("FitnessAfterMove(%d,%d) %v != fresh %v", j, m, got, want)
+		}
 	}
 }

@@ -19,8 +19,8 @@ import "math"
 //     skips the per-probe tournament-tree walks.
 //
 // The LMCTS critical-swap neighborhood is not swept here: its one scan is
-// ScanCache.bestOn's staircase (scancache.go), which borrows the state's
-// sweepA/sweepB buffers.
+// the staircase query ScanCache.BestCriticalSwap (scancache.go), which
+// borrows the state's sweepA/sweepB/sweepCA buffers.
 //
 // Every sweep inherits the probes' bit-identity contract: each emitted
 // value equals, bit for bit, the scalar probe for the same candidate —

@@ -189,7 +189,6 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 		iter++
 		emit()
 	}
-	cur.SyncScans()
 	return run.Result{
 		Best: best.Schedule(), Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime(),
 		Iterations: iter, Evals: evals, Elapsed: time.Since(start), Algorithm: s.Name(),

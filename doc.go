@@ -66,9 +66,13 @@
 // # Evaluation: scratch, incremental, probe, sweep and cached scan
 //
 // The evaluation layer (internal/schedule) works at five temperatures.
-// Scratch evaluation (Objective.Evaluate, NewState, State.SetSchedule)
-// rebuilds everything from a genotype — the entry point for crossover
-// offspring and external schedules. Incremental evaluation (State.Move,
+// Scratch evaluation rebuilds everything from a genotype. A crossover
+// offspring takes State.SetScheduleFrom, which merges the two parents'
+// already sorted machine lists in O(jobs + machines); a schedule without
+// parents (Objective.Evaluate, NewState, State.SetSchedule: external
+// schedules, heuristic seeds, snapshots) takes the sorting rebuild, as
+// does an offspring with a gene from neither parent. Both give the same
+// bits. Incremental evaluation (State.Move,
 // State.Swap) maintains per-machine completions, flowtime and an indexed
 // tournament tree over the completions, making Makespan, MakespanMachine
 // and the scalarised fitness O(1) reads with O(log M) maintenance —

@@ -501,8 +501,9 @@ func (e *engine) recombineInto(c int, s *evalpool.Scratch, popAt func(int) *sche
 			p2 = x
 		}
 	}
-	e.cfg.Crossover.Cross(popAt(p1).ScheduleView(), popAt(p2).ScheduleView(), s.Buf, r)
-	s.St.SetSchedule(s.Buf)
+	a, b := popAt(p1), popAt(p2)
+	e.cfg.Crossover.Cross(a.ScheduleView(), b.ScheduleView(), s.Buf, r)
+	s.St.SetScheduleFrom(s.Buf, a, b)
 	e.cfg.LocalSearch.Improve(s.St, e.cfg.Objective, e.cfg.LSIterations, r)
 	return e.cfg.Objective.Of(s.St)
 }

@@ -279,7 +279,7 @@ func (g *gaState) breed(indices []int) float64 {
 	p2 := g.cfg.Selector.Select(indices, fitAt, g.r)
 	if g.r.Float64() < g.cfg.CrossoverProb {
 		g.cfg.Crossover.Cross(g.pop[p1].ScheduleView(), g.pop[p2].ScheduleView(), g.scratch.Buf, g.r)
-		g.scratch.St.SetSchedule(g.scratch.Buf)
+		g.scratch.St.SetScheduleFrom(g.scratch.Buf, g.pop[p1], g.pop[p2])
 	} else {
 		g.scratch.St.CopyFrom(g.pop[p1])
 	}

@@ -277,6 +277,34 @@ func TestMOCellMADeterministic(t *testing.T) {
 	}
 }
 
+// TestMOCellMAFrontPinned pins the final front of one Table 1-shaped run
+// (the Braun u_c_hihi.0 instance, the default configuration, seed 3, 40
+// iterations): its (makespan, flowtime) pairs, bit for bit. Any change to
+// the evaluation layer under the MOCellMA loop — the offspring rebuild,
+// the local search, the replacement — must leave them in place.
+func TestMOCellMAFrontPinned(t *testing.T) {
+	in, err := etc.GenerateByName("u_c_hihi.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := NewMOCellMA(DefaultMOConfig())
+	got := m.Run(in, run.Budget{MaxIterations: 40}, 3).Front.Solutions()
+	want := []Vec{
+		{7.465840834761614e+06, 1.0790677733697908e+09},
+		{7.471511345086645e+06, 1.0788075786973097e+09},
+		{7.4733935064792475e+06, 1.077674779883274e+09},
+		{7.479007670428426e+06, 1.0773528991484122e+09},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("front has %d solutions, want %d", len(got), len(want))
+	}
+	for i, s := range got {
+		if s.Obj != want[i] {
+			t.Errorf("front[%d] = %v, want %v", i, s.Obj, want[i])
+		}
+	}
+}
+
 func TestMOCellMABeatsSingleLambdaOnHypervolume(t *testing.T) {
 	// The dominance-based search should cover the objective space at
 	// least as well as a single scalarised run archived into a front.

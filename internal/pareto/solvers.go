@@ -160,7 +160,7 @@ func (m *MOCellMA) Run(in *etc.Instance, budget run.Budget, seed uint64) MOResul
 			sel := operators.SelectDistinct(cfg.Selector, cfg.SolutionsToRecombine, nb[c], fitAt, r)
 			p1, p2 := bestTwo(sel, fitAt)
 			cfg.Crossover.Cross(pop[p1].ScheduleView(), pop[p2].ScheduleView(), child, r)
-			scratch.SetSchedule(child)
+			scratch.SetScheduleFrom(child, pop[p1], pop[p2])
 			cfg.LocalSearch.Improve(scratch, scal, cfg.LSIterations, r)
 			evals++
 			replace(c)

@@ -14,8 +14,11 @@ import "math"
 // float64 at the load; all arithmetic downstream of the load is identical
 // for both backings.
 //
-// Everything else reads through At, whose backing branch is one perfectly
-// predicted test per call.
+// The offspring merge (mergeLists, state.go) also dispatches once on the
+// backing, but instantiates for both: it only compares entries, and the
+// float64 instance measured no slower than a hand-written copy on
+// BenchmarkRebuildMerge. Everything else reads through At, whose backing
+// branch is one perfectly predicted test per call.
 
 type etcElem interface{ ~float32 | ~float64 }
 

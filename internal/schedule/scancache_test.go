@@ -161,6 +161,48 @@ func TestCriticalSwapMatchesPairScan(t *testing.T) {
 	}
 }
 
+// decodeFuzzInstance decodes the shared fuzz prefix: 2–6 machines and
+// 1–48 jobs from the first two bytes, then one palette byte per ETC
+// entry and one ready-time byte per machine. It returns the instance and
+// the reader of the remaining bytes (zeros once they run out); ok is
+// false for inputs shorter than two bytes.
+func decodeFuzzInstance(data []byte) (in *etc.Instance, next func() byte, ok bool) {
+	if len(data) < 2 {
+		return nil, nil, false
+	}
+	machs := 2 + int(data[0]%5)
+	jobs := 1 + int(data[1]%48)
+	data = data[2:]
+	next = func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	in = etc.New("fuzz", jobs, machs)
+	for j := 0; j < jobs; j++ {
+		for m := 0; m < machs; m++ {
+			switch b := next(); b >> 6 {
+			case 0:
+				in.Set(j, m, float64(1+b%4)*25)
+			case 1:
+				in.Set(j, m, float64(1+b%16)*1e-12)
+			case 2:
+				in.Set(j, m, 1e18)
+			default:
+				in.Set(j, m, float64(b)+float64(b%7)/7)
+			}
+		}
+	}
+	for m := 0; m < machs; m++ {
+		in.Ready[m] = float64(next()%4) * 50
+	}
+	in.Finalize()
+	return in, next, true
+}
+
 // FuzzCriticalSwap decodes a small instance, schedule and exempt machine
 // from the input and checks the query against the pair scan on both
 // backings, then again after each of a few random moves seeded from the
@@ -169,40 +211,12 @@ func TestCriticalSwapMatchesPairScan(t *testing.T) {
 // staircases all show up in short inputs.
 func FuzzCriticalSwap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		seed := uint64(len(data))
+		in, next, ok := decodeFuzzInstance(data)
+		if !ok {
 			return
 		}
-		machs := 2 + int(data[0]%5)
-		jobs := 1 + int(data[1]%48)
-		seed := uint64(len(data))
-		data = data[2:]
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
-		}
-		in := etc.New("fuzz", jobs, machs)
-		for j := 0; j < jobs; j++ {
-			for m := 0; m < machs; m++ {
-				switch b := next(); b >> 6 {
-				case 0:
-					in.Set(j, m, float64(1+b%4)*25)
-				case 1:
-					in.Set(j, m, float64(1+b%16)*1e-12)
-				case 2:
-					in.Set(j, m, 1e18)
-				default:
-					in.Set(j, m, float64(b)+float64(b%7)/7)
-				}
-			}
-		}
-		for m := 0; m < machs; m++ {
-			in.Ready[m] = float64(next()%4) * 50
-		}
-		in.Finalize()
+		jobs, machs := in.Jobs, in.Machs
 		s := make(Schedule, jobs)
 		for j := range s {
 			s[j] = int(next()) % machs
@@ -416,10 +430,10 @@ func TestCachedScanAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCachedScanCold measures the cMA's per-offspring pattern: a
-// wholesale SetSchedule, then one critical-swap query over every partner
-// machine. The op includes the rebuild (BenchmarkRebuildBucket times it
-// alone). Runs on the Braun u_c_hihi.0 shape (512×16) and a 2048×64
+// BenchmarkCachedScanCold measures a cold query: a wholesale
+// SetSchedule, then one critical-swap query over every partner machine.
+// The op includes the rebuild (BenchmarkRebuildBucket times it alone;
+// cMA offspring take the cheaper merge, BenchmarkRebuildMerge). Runs on the Braun u_c_hihi.0 shape (512×16) and a 2048×64
 // c_hihi GenSpec. 0 allocs/op, CI-guarded.
 func BenchmarkCachedScanCold(b *testing.B) {
 	braun, err := etc.GenerateByName("u_c_hihi.0")

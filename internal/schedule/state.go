@@ -463,6 +463,101 @@ func (st *State) SetSchedule(s Schedule) {
 	st.rebuild()
 }
 
+// SetScheduleFrom replaces the schedule like SetSchedule, for an
+// offspring s of the two evaluated parents p1 and p2 (which may be the
+// same state). When every gene comes from a parent — s[j] is p1's or
+// p2's machine for job j, as every built-in crossover guarantees — each
+// machine's list is the merge of two lists that are already in
+// (ETC, id) order: p1's jobs kept by s, and p2's jobs kept by s that p1
+// does not also hold there. That is O(J + M) with no sort. A gene found
+// in neither parent, or a parent that is st itself, takes the sorting
+// rebuild instead. (ETC, id) is a total order, so the lists, prefix sums
+// and fitness bits equal SetSchedule(s)'s either way (pinned in
+// rebuild_test.go).
+func (st *State) SetScheduleFrom(s Schedule, p1, p2 *State) {
+	if err := s.Validate(st.inst); err != nil {
+		panic(err)
+	}
+	if p1.inst != st.inst || p2.inst != st.inst {
+		panic("schedule: SetScheduleFrom across instances")
+	}
+	merge := p1 != st && p2 != st
+	counts := st.counts
+	clear(counts)
+	a1, a2 := p1.assign, p2.assign
+	for j, m := range s {
+		if m != a1[j] && m != a2[j] {
+			merge = false
+			break
+		}
+		counts[m]++
+	}
+	st.assign.CopyFrom(s)
+	if !merge {
+		st.rebuild()
+		return
+	}
+	st.epoch++
+	st.ensureRegions(counts)
+	if e := st.etc64; e != nil {
+		mergeLists(st, e, p1, p2)
+	} else {
+		mergeLists(st, st.inst.ETC32, p1, p2)
+	}
+}
+
+// mergeLists is SetScheduleFrom's merge over the matrix element type:
+// per machine, in ascending machine order, it fills the list from the
+// parents' filtered lists, sets the slots, refreshes the machine and
+// folds flowtime, exactly as rebuild does after its sort.
+func mergeLists[E etcElem](st *State, e []E, p1, p2 *State) {
+	machs := st.inst.Machs
+	s, a1 := st.assign, p1.assign
+	st.flowtime = 0
+	for m := range st.machJobs {
+		l1, l2 := p1.machJobs[m], p2.machJobs[m]
+		out := st.machJobs[m]
+		i, k := 0, 0
+		for {
+			for i < len(l1) && s[l1[i]] != m {
+				i++
+			}
+			for k < len(l2) && (s[l2[k]] != m || a1[l2[k]] == m) {
+				k++
+			}
+			if i == len(l1) || k == len(l2) {
+				break
+			}
+			ja, jb := l1[i], l2[k]
+			if ea, eb := e[int(ja)*machs+m], e[int(jb)*machs+m]; ea < eb || ea == eb && ja < jb {
+				out = append(out, ja)
+				i++
+			} else {
+				out = append(out, jb)
+				k++
+			}
+		}
+		for ; i < len(l1); i++ {
+			if j := l1[i]; s[j] == m {
+				out = append(out, j)
+			}
+		}
+		// Both lists are in one total order, so once p1's list runs out,
+		// every job it shares with p2's list lies behind k there.
+		for ; k < len(l2); k++ {
+			if j := l2[k]; s[j] == m {
+				out = append(out, j)
+			}
+		}
+		st.machJobs[m] = out
+		for k, j := range out {
+			st.slot[j] = int32(k)
+		}
+		st.refreshMachine(m)
+		st.flowtime += st.machFlow[m]
+	}
+}
+
 // SetScheduleDiff replaces the schedule like SetSchedule but by diffing s
 // against the current assignment: only jobs whose machine changed are
 // re-listed and only machines whose job sets changed are refreshed, so

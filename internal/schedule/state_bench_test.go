@@ -118,16 +118,3 @@ func BenchmarkMoveEvaluateRevert(b *testing.B) {
 		st.Move(j, from)
 	}
 }
-
-// BenchmarkSetSchedule measures the full re-evaluation path used when a
-// scratch evaluator is re-pointed at a crossover offspring.
-func BenchmarkSetSchedule(b *testing.B) {
-	st, r := benchState(b, 512, 16)
-	in := st.Instance()
-	other := NewRandom(in, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.SetSchedule(other)
-	}
-}
